@@ -27,7 +27,7 @@ def main():
 
     plus = tr.hardy_project("+", f)
     minus = tr.hardy_project("-", f)
-    recon = fl.field_from_values(spec, "Cl2", plus.data + minus.data)
+    recon = fl.CliffordField(spec, "Cl2", plus.data + minus.data)
     print("the two half-space projections split the field:")
     print(f"  reconstruction: {fl.rel_error(recon, f):.1e}")
     print(f"  H on the + half acts as +1: {rp.hilbert_eigen_check('+', f):.1e}")

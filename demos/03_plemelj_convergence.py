@@ -23,9 +23,9 @@ def main():
     print("  height   distance to target   distance to damped target")
     for x0 in (0.4, 0.2, 0.1):
         C = tr.cauchy_extend(f, x0, upsample=8)
-        to_limit = fl.norm(fl.field_from_values(spec, "Cl2", C.data - half_sum)) / fnorm
+        to_limit = fl.norm(fl.CliffordField(spec, "Cl2", C.data - half_sum)) / fnorm
         damped = tr.hardy_project("+", tr.poisson_extend(f, x0))
-        to_damped = fl.norm(fl.field_from_values(spec, "Cl2", C.data - damped.data)) / fnorm
+        to_damped = fl.norm(fl.CliffordField(spec, "Cl2", C.data - damped.data)) / fnorm
         print(f"  {x0:5.2f}   {to_limit:18.3e}   {to_damped:25.3e}")
     print()
     print("the second column shrinks with the height (the boundary limit);")
@@ -33,7 +33,7 @@ def main():
     print()
 
     wrong = tr.cauchy_extend(f, 0.1, upsample=8, kernel_exponent=spec.n)
-    gap = fl.norm(fl.field_from_values(spec, "Cl2", wrong.data - half_sum)) / fnorm
+    gap = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - half_sum)) / fnorm
     print(f"with the kernel exponent lowered to n the limit is missed: {gap:.3e}")
 
 

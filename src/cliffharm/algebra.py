@@ -59,6 +59,12 @@ class Algebra:
     def dim(self) -> int:
         return 2 ** self.gens
 
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Geometric product of coefficient arrays, broadcast over the
+        leading axes; the last axis is the blade axis.  The one place that
+        contracts the structure tensor."""
+        return np.einsum("ijk,...i,...j->...k", self.tensor, a, b)
+
 
 def _build(name: str, gens: int) -> Algebra:
     masks = _MASKS[gens]
@@ -96,7 +102,7 @@ def geometric_product(a: np.ndarray, b: np.ndarray, algebra: Algebra | str) -> n
     alg = get_algebra(algebra) if isinstance(algebra, str) else algebra
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return np.einsum("ijk,...i,...j->...k", alg.tensor, a, b)
+    return alg.product(a, b)
 
 
 def clifford_conjugate(a: np.ndarray, algebra: Algebra | str) -> np.ndarray:

@@ -160,8 +160,7 @@ def _parse_op(opspec: str):
             ideal = alg.IdealId[rest]
         except KeyError as err:
             raise su.UsageError(f"unknown subspace or ideal id {rest!r}") from err
-        return lambda f: fl.field_from_values(f.spec, f.value_algebra,
-                                              alg.ideal_project(f.data, ideal), f.meta)
+        return lambda f: fl.CliffordField(f.spec, f.value_algebra, alg.ideal_project(f.data, ideal), f.meta)
     raise su.UsageError(
         f"unknown operation {head!r}; expected hilbert | riesz:j | chi:+|- | "
         f"poisson:x0 | cauchy:x0 | natrep:g | project:id"

@@ -91,10 +91,6 @@ class SpectralField(_FieldBase):
     """Frequency-side coefficients under the fixed transform convention."""
 
 
-def field_from_values(spec, value_algebra, data, meta=None) -> CliffordField:
-    return CliffordField(spec, value_algebra, data, meta)
-
-
 def zero_field(spec, value_algebra) -> CliffordField:
     a = alg.get_algebra(value_algebra)
     return CliffordField(spec, value_algebra, np.zeros(spec.shape + (a.dim,), dtype=complex))
@@ -140,38 +136,25 @@ def rel_error(a, b) -> float:
     return d / r if r > 0 else d
 
 
-def pointwise_multiply_left(m, F: SpectralField) -> SpectralField:
-    """Left geometric product by m(xi) at every frequency bin; m maps a
-    frequency vector to a coefficient vector of the field's algebra."""
-    spec = F.spec
-    a = F.algebra
-    XI = spec.freqs()
-    M = np.zeros(spec.shape + (a.dim,), dtype=complex)
-    it = np.ndindex(*spec.shape)
-    for idx in it:
-        xi = np.array([x[idx] for x in XI])
-        M[idx] = np.asarray(m(xi), dtype=complex)
-    out = np.einsum("ijk,...i,...j->...k", a.tensor, M, F.data)
-    return SpectralField(spec, F.value_algebra, out, F.meta)
-
-
 def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:
-    """Fast path for precomputed multiplier coefficient arrays."""
-    a = F.algebra
-    out = np.einsum("ijk,...i,...j->...k", a.tensor, M, F.data)
-    return SpectralField(F.spec, F.value_algebra, out, F.meta)
+    """Left geometric product by a multiplier coefficient array, bin by bin."""
+    return F._like(F.algebra.product(M, F.data))
 
 
 def left_multiply_constant(c: np.ndarray, f):
-    a = f.algebra
-    out = np.einsum("ijk,i,...j->...k", a.tensor, np.asarray(c, dtype=complex), f.data)
-    return f._like(out)
+    return f._like(f.algebra.product(c, f.data))
 
 
 def right_multiply_constant(f, c: np.ndarray):
-    a = f.algebra
-    out = np.einsum("ijk,...i,j->...k", a.tensor, f.data, np.asarray(c, dtype=complex))
-    return f._like(out)
+    return f._like(f.algebra.product(f.data, c))
+
+
+def occupied_modes(F: SpectralField) -> tuple:
+    """Bins whose largest coefficient exceeds 1e-13 of the field's peak:
+    their (count, n) index array and the matching frequencies."""
+    mags = np.max(np.abs(F.data), axis=-1)
+    idx = np.argwhere(mags > 1e-13 * mags.max())
+    return idx, (idx - F.spec.N / 2) / F.spec.L
 
 
 def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: float, seed) -> CliffordField:
@@ -190,6 +173,8 @@ def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: f
         sl = [slice(None)] * spec.n
         sl[ax] = 0
         mask[tuple(sl)] = False  # Nyquist plane has no mirror partner
+    if not mask.any():
+        raise ValueError(f"band fraction {bandfraction} holds no frequency bin on a {spec.N}-point grid")
     data *= mask[..., None]
     F = SpectralField(spec, value_algebra, data, {"band_limit": bandfraction * ximax, "zero_mean": True})
     return spectral_inverse(F)
@@ -238,12 +223,8 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
         return CliffordField(spec, f.value_algebra, data, f.meta)
 
     F = spectral_forward(f)
-    mags = np.max(np.abs(F.data), axis=-1)
-    peak = float(mags.max())
-    occ = np.nonzero(mags > 1e-13 * peak) if peak > 0 else tuple([np.array([], int)] * spec.n)
-    XI = spec.freqs()
-    xi_occ = np.stack([x[occ] for x in XI], axis=-1)
-    c_occ = F.data[occ]
+    occ, xi_occ = occupied_modes(F)
+    c_occ = F.data[tuple(occ.T)]
     K = np.indices(spec.shape)
     pts = np.stack([(-spec.L / 2 + spec.h * K[a_]).ravel() for a_ in range(spec.n)], axis=-1)
     xprime = (ginv.r * (pts @ A_inv.T)) + ginv.b
@@ -298,7 +279,10 @@ def read_field_binary(path) -> CliffordField:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}; expected {MAGIC!r}")
-        n, N, L = struct.unpack("<IId", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError("CLF1 header is truncated")
+        n, N, L = struct.unpack("<IId", header)
         body = fh.read()
     spec = GridSpec(int(n), int(N), float(L))
     npts = spec.N ** spec.n
@@ -332,12 +316,15 @@ def write_field_json(f, path) -> None:
 def read_field_json(path) -> CliffordField:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "CLF1":
+    if not isinstance(doc, dict) or doc.get("format") != "CLF1":
         raise ValueError("not a CLF1 json document")
-    spec = GridSpec(int(doc["n"]), int(doc["N"]), float(doc["L"]))
-    value_algebra = doc["value_algebra"]
-    a = alg.get_algebra(value_algebra)
-    flat = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
+    try:
+        spec = GridSpec(int(doc["n"]), int(doc["N"]), float(doc["L"]))
+        value_algebra = doc["value_algebra"]
+        a = alg.get_algebra(value_algebra)
+        flat = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed CLF1 json document: {err!r}") from err
     return CliffordField(spec, value_algebra, flat.reshape(spec.shape + (a.dim,)))
 
 

@@ -37,10 +37,12 @@ from .spin import (
     spin3_from_axis_angle,
 )
 from .transforms import (
+    _parse_sign,
     chi_multiplier_array,
     hardy_project,
     hilbert,
     hilbert_multiplier_at,
+    riesz,
 )
 
 
@@ -176,7 +178,7 @@ def _project_pointwise(f_data, value_algebra, pair, chi_arr):
     a = get_algebra(value_algebra)
     P = pair_projector(value_algebra, pair)
     proj = np.einsum("ab,...b->...a", P, f_data)
-    return np.einsum("ijk,...i,...j->...k", a.tensor, chi_arr, proj)
+    return a.product(chi_arr, proj)
 
 
 def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.CliffordField:
@@ -259,12 +261,9 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
     if g.n != spec.n:
         raise ValueError("group element dimension does not match the field")
     A = rotation_matrix(g.s)
-    mags = np.max(np.abs(F.data), axis=-1)
-    peak = float(mags.max()) if F.data.size else 0.0
-    occ = np.argwhere(mags > 1e-13 * peak) if peak > 0 else np.zeros((0, spec.n), int)
+    occ, xi_in = fl.occupied_modes(F)
     if occ.shape[0] == 0:
         return F.copy()
-    xi_in = (occ - spec.N / 2) / spec.L
     xi_out = (xi_in @ A.T) / g.r
     pos = xi_out * spec.L + spec.N / 2
     idx = np.round(pos)
@@ -280,19 +279,10 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
     return fl.SpectralField(spec, F.value_algebra, G, F.meta)
 
 
-def _parse_sign(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
-        return 1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be + or -, got {sign!r}")
-
-
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
     """Distance to the pointwise condition f = chi_sign(x/|x|) f."""
     chi_arr = _chi_spatial_array(f, sign)
-    a = f.algebra
-    filtered = np.einsum("ijk,...i,...j->...k", a.tensor, chi_arr, f.data)
+    filtered = f.algebra.product(chi_arr, f.data)
     den = np.linalg.norm(f.data)
     if den == 0:
         return 0.0
@@ -360,14 +350,11 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
     if mode != "modes":
         raise ValueError(f"unknown mode {mode!r}")
     F = fl.spectral_forward(f)
-    mags = np.max(np.abs(F.data), axis=-1)
-    peak = float(mags.max()) if F.data.size else 0.0
-    occ = np.argwhere(mags > 1e-13 * peak) if peak > 0 else np.zeros((0, f.spec.n), int)
+    occ, xi = fl.occupied_modes(F)
     if occ.shape[0] == 0:
         return 0.0
     spec = f.spec
     A = rotation_matrix(g.s)
-    xi = (occ - spec.N / 2) / spec.L
     eta = (xi @ A.T) / g.r
     c = F.data[tuple(occ.T)]
     sval = spin_value_coefficients(g.s, f.value_algebra)
@@ -404,8 +391,6 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
     """max_j || rot R_j rot^-1 f - sum_k A_jk R_k f || / ||f|| for the plain
     rotation action (no value factor).  Mode mode evaluates the scalar symbol
     identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes."""
-    from .transforms import riesz  # local import to keep module load cheap
-
     spec = f.spec
     if s.n != spec.n:
         raise ValueError("rotor dimension does not match the field")
@@ -427,12 +412,9 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
     if mode != "modes":
         raise ValueError(f"unknown mode {mode!r}")
     F = fl.spectral_forward(f)
-    mags = np.max(np.abs(F.data), axis=-1)
-    peak = float(mags.max()) if F.data.size else 0.0
-    occ = np.argwhere(mags > 1e-13 * peak) if peak > 0 else np.zeros((0, spec.n), int)
+    occ, xi = fl.occupied_modes(F)
     if occ.shape[0] == 0:
         return 0.0
-    xi = (occ - spec.N / 2) / spec.L
     c = F.data[tuple(occ.T)]
     wc = np.sum(np.abs(c) ** 2, axis=-1)
     den2 = float(np.sum(wc))
@@ -505,7 +487,7 @@ class CommutantReport:
 
 def _left_mult_matrix(c: np.ndarray, algebra_name: str) -> np.ndarray:
     a = get_algebra(algebra_name)
-    return np.einsum("ijk,i->kj", a.tensor, np.asarray(c, dtype=complex))
+    return a.product(c, np.eye(a.dim)).T
 
 
 def _bin_frequencies(n: int, L: float) -> np.ndarray:

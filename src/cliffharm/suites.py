@@ -374,9 +374,9 @@ def run_plemelj(cfg: SuiteConfig):
         damp = np.exp(-2 * pi * x0 * spec.freq_magnitude())
         damped = fl.SpectralField(spec, "Cl2", F.data * damp[..., None], F.meta)
         quad_target = fl.spectral_inverse(fl.apply_multiplier_array(chi, damped))
-        qres = fl.norm(fl.field_from_values(spec, "Cl2", C.data - quad_target.data)) / fnorm
+        qres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - quad_target.data)) / fnorm
         out.append(_case(cfg, "plemelj", f"cauchy_quadrature_x0_{x0}", qres, 5e-4))
-        lres = fl.norm(fl.field_from_values(spec, "Cl2", C.data - limit_target.data)) / fnorm
+        lres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - limit_target.data)) / fnorm
         limit_totals.append(lres)
         rows.append((x0, lres))
     mono = 0.0 if limit_totals[0] > limit_totals[1] > limit_totals[2] else 1.0
@@ -384,7 +384,7 @@ def run_plemelj(cfg: SuiteConfig):
     out.append(_case(cfg, "plemelj", "boundary_limit_final", limit_totals[-1], 5e-2))
 
     wrong = tr.cauchy_extend(f, heights[-1], upsample=8, kernel_exponent=spec.n)
-    wrong_total = fl.norm(fl.field_from_values(spec, "Cl2", wrong.data - limit_target.data)) / fnorm
+    wrong_total = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - limit_target.data)) / fnorm
     ratio = limit_totals[-1] / wrong_total
     out.append(_case(cfg, "plemelj", "kernel_exponent_separates", ratio, 0.1))
     extras["plemelj_rows"] = rows

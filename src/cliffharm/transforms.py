@@ -257,9 +257,7 @@ def cauchy_extend(
     h = fu.spec.h
     Cs = _correlate_scalar_kernel(Ks, fu.data, h, n)
     sl = tuple(slice(None, None, ups) for _ in range(n))
-    acc = Cs[sl]
-    out = fl.CliffordField(spec, f.value_algebra, acc, f.meta)
-    total = fl.CliffordField(spec, f.value_algebra, out.data.copy(), f.meta)
+    total = fl.CliffordField(spec, f.value_algebra, Cs[sl], f.meta)
     for a in range(n):
         Ca = _correlate_scalar_kernel(Kv[a], fu.data, h, n)[sl]
         ea = np.zeros(n)

@@ -153,7 +153,7 @@ def test_ac06_boundary_limit(verdict):
     totals = []
     for x0 in (0.4, 0.2, 0.1):
         C = tr.cauchy_extend(f, x0, images=4, upsample=8)
-        diff = fl.field_from_values(spec, "Cl2", C.data - half_sum)
+        diff = fl.CliffordField(spec, "Cl2", C.data - half_sum)
         totals.append(fl.norm(diff) / fnorm)
     ok = totals[0] > totals[1] > totals[2] and totals[2] < 5e-2
     verdict(6, ok, "boundary values approach the jump formula: residuals "

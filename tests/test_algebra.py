@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cliffharm import algebra as alg
+from cliffharm import representations as rep
 
 import symbolic_oracle as oracle
 
@@ -29,16 +32,49 @@ def test_product_table_matches_oracle_exactly(name, gens):
             assert np.array_equal(got, want), (a.names[i], a.names[j])
 
 
-@pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3)])
+@pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3), ("H", 2)])
 def test_random_products_match_oracle(name, gens):
     rng = np.random.default_rng(42)
     a = alg.get_algebra(name)
+
+    def rand(*shape):
+        return rng.standard_normal(shape + (a.dim,)) + 1j * rng.standard_normal(shape + (a.dim,))
+
+    def close(got, want):
+        return alg.coeff_norm(got - want) < 1e-12 * max(alg.coeff_norm(got), 1.0)
+
+    def oracle_mul(x, y):
+        return _from_oracle(oracle.mv_mul(_to_oracle(x, gens), _to_oracle(y, gens)), gens)
+
     for _ in range(300):
-        x = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-        y = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-        got = alg.geometric_product(x, y, a)
-        want = _from_oracle(oracle.mv_mul(_to_oracle(x, gens), _to_oracle(y, gens)), gens)
-        assert alg.coeff_norm(got - want) < 1e-12 * max(alg.coeff_norm(got), 1.0)
+        x, y = rand(), rand()
+        assert close(alg.geometric_product(x, y, a), oracle_mul(x, y))
+
+    # broadcast over leading axes: constant x field, field x constant, field x field
+    c, F, G = rand(), rand(5, 3), rand(5, 3)
+    for x, y in ((c, F), (F, c), (F, G)):
+        got = a.product(x, y)
+        assert got.shape == (5, 3, a.dim)
+        xb, yb = np.broadcast_arrays(x, y)
+        for idx in np.ndindex(5, 3):
+            assert close(got[idx], oracle_mul(xb[idx], yb[idx]))
+
+    M = rep._left_mult_matrix(c, name)
+    for v in rand(20):
+        assert close(M @ v, alg.geometric_product(c, v, a))
+
+
+def test_structure_tensor_is_read_only_in_algebra():
+    """Only algebra.py knows the blade-table layout; every other module
+    multiplies values through Algebra.product or geometric_product."""
+    offenders = []
+    for path in sorted(Path(alg.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if ".tensor" in line or 'einsum("ijk' in line:
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, offenders
 
 
 @pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3)])

@@ -112,10 +112,18 @@ def test_binary_write_is_deterministic(tmp_path):
 
 
 def test_read_rejects_other_files(tmp_path):
-    p = tmp_path / "junk.clf"
-    p.write_bytes(b"not a field at all")
-    with pytest.raises(ValueError):
-        fl.read_field(p)
+    cases = {
+        "junk.clf": b"not a field at all",
+        "short_header.clf": fl.MAGIC + b"\x02\x00\x00\x00\x10\x00",
+        "not_an_object.json": b"[1]",
+        "bad_rows.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, '
+                         b'"value_algebra": "Cl2", "values": [[1, 2]]}',
+    }
+    for name, content in cases.items():
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(ValueError):
+            fl.read_field(p)
 
 
 def test_spectral_upsample_interpolates():

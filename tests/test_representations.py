@@ -210,7 +210,7 @@ def test_conjugation_map_properties():
     twice = rp.rho_conjugation_n2(rho)
     assert np.linalg.norm(twice.data + f.data) < 1e-14 * np.linalg.norm(f.data)
     a = 0.8 - 1.1j
-    scaled = rp.rho_conjugation_n2(fl.field_from_values(spec, "Cl2", a * f.data))
+    scaled = rp.rho_conjugation_n2(fl.CliffordField(spec, "Cl2", a * f.data))
     assert np.linalg.norm(scaled.data - a * rho.data) < 1e-14 * np.linalg.norm(rho.data)
     plus = tr.hardy_project("+", f)
     minus = tr.hardy_project("-", f)

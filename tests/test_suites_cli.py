@@ -219,6 +219,25 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
     assert run_cli("transform", "squigglify", path, out).returncode == 2
     assert run_cli("transform", "hilbert", tmp_path / "missing.clf", out).returncode == 2
     assert run_cli("transform", "riesz:7", path, out).returncode == 2
+    bad_files = {
+        "short_header.clf": fl.MAGIC + b"\x02\x00\x00\x00",
+        "not_an_object.json": b"[1]",
+        "bad_rows.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, '
+                         b'"value_algebra": "Cl2", "values": [[1, 2]]}',
+    }
+    for name, content in bad_files.items():
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        res = run_cli("transform", "hilbert", bad, out)
+        assert res.returncode == 2, (name, res.stderr)
+        assert "Traceback" not in res.stderr, name
+
+
+def test_cli_verify_refuses_grid_with_empty_band():
+    res = run_cli("verify", "--suite", "representation", "--N", "8")
+    assert res.returncode == 2, res.stderr
+    assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_emit_plots_from_extras(tmp_path):

@@ -108,7 +108,7 @@ def test_riesz_components_square_to_minus_identity():
     acc = fl.zero_field(spec, "Cl3")
     for j in range(3):
         acc.data = acc.data + tr.riesz(j, tr.riesz(j, f)).data
-    minus = fl.field_from_values(spec, "Cl3", -f.data)
+    minus = fl.CliffordField(spec, "Cl3", -f.data)
     assert fl.rel_error(acc, minus) < 1e-12
     with pytest.raises(ValueError):
         tr.riesz(3, f)
@@ -120,12 +120,12 @@ def test_hardy_projections_split_and_are_eigenspaces(value_algebra, n, N, L):
     f = fl.make_band_limited_random(spec, value_algebra, 0.4, 23)
     plus = tr.hardy_project("+", f)
     minus = tr.hardy_project(-1, f)
-    recon = fl.field_from_values(spec, value_algebra, plus.data + minus.data)
+    recon = fl.CliffordField(spec, value_algebra, plus.data + minus.data)
     assert fl.rel_error(recon, f) < 1e-13
     assert fl.rel_error(tr.hardy_project("+", plus), plus) < 1e-12
     assert fl.rel_error(tr.hilbert(plus), plus) < 1e-12
     Hm = tr.hilbert(minus)
-    neg = fl.field_from_values(spec, value_algebra, -minus.data)
+    neg = fl.CliffordField(spec, value_algebra, -minus.data)
     assert fl.rel_error(Hm, neg) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_cauchy_extension_matches_damped_projection():
     f.meta["band_limit"] = spec.N / (2 * spec.L)
     C = tr.cauchy_extend(f, 0.4, upsample=8)
     target = tr.hardy_project("+", tr.poisson_extend(f, 0.4))
-    diff = fl.field_from_values(spec, "Cl2", C.data - target.data)
+    diff = fl.CliffordField(spec, "Cl2", C.data - target.data)
     assert fl.norm(diff) / fl.norm(f) < 5e-4
     with pytest.raises(ValueError):
         tr.cauchy_extend(f, -0.1)
