@@ -44,9 +44,19 @@ def _blade_sign(a: int, b: int) -> int:
     return -1 if swaps % 2 else 1
 
 
+# Points per block in Algebra.product: the gathered right operand holds
+# _CHUNK * dim**2 entries at a time, whatever the field size.
+_CHUNK = 512
+
+
 @dataclass(frozen=True)
 class Algebra:
-    """One blade table plus its precomputed structure tensor."""
+    """One blade table, its structure tensor and its signed-permutation form.
+
+    Each blade product is one signed blade, so for every pair (i, k) exactly
+    one j has tensor[i, j, k] != 0: that j is cols[i, k] and the entry,
+    +1 or -1, is signs[i, k].
+    """
 
     name: str
     gens: int
@@ -54,6 +64,8 @@ class Algebra:
     names: tuple = field(repr=False, default=())
     tensor: np.ndarray = field(repr=False, default=None)
     grades: np.ndarray = field(repr=False, default=None)
+    cols: np.ndarray = field(repr=False, default=None)
+    signs: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -61,9 +73,23 @@ class Algebra:
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Geometric product of coefficient arrays, broadcast over the
-        leading axes; the last axis is the blade axis.  The one place that
-        contracts the structure tensor."""
-        return np.einsum("ijk,...i,...j->...k", self.tensor, a, b)
+        leading axes; the last axis is the blade axis.  The one value-product
+        kernel: out[k] = sum_i signs[i, k] a[i] b[cols[i, k]], gathered and
+        summed in blocks of _CHUNK points."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if b.size <= _CHUNK * self.dim:
+            return np.einsum("ik,...i,...ik->...k", self.signs, a, b.take(self.cols, axis=-1))
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        out = np.empty(lead + (self.dim,), np.result_type(self.signs, a, b))
+        flat = out.reshape(-1, self.dim)
+        A = np.broadcast_to(a, out.shape).reshape(flat.shape)
+        B = np.broadcast_to(b, out.shape).reshape(flat.shape)
+        for start in range(0, len(flat), _CHUNK):
+            block = slice(start, start + _CHUNK)
+            gathered = B[block].take(self.cols, axis=-1)
+            np.einsum("ik,pi,pik->pk", self.signs, A[block], gathered, out=flat[block])
+        return out
 
 
 def _build(name: str, gens: int) -> Algebra:
@@ -75,7 +101,9 @@ def _build(name: str, gens: int) -> Algebra:
         for j, mj in enumerate(masks):
             T[i, j, index[mi ^ mj]] = _blade_sign(mi, mj)
     grades = np.array([bin(m).count("1") for m in masks])
-    return Algebra(name, gens, masks, _NAMES[gens], T, grades)
+    cols = np.argmax(T != 0, axis=1)
+    signs = np.take_along_axis(T, cols[:, None, :], axis=1)[:, 0, :]
+    return Algebra(name, gens, masks, _NAMES[gens], T, grades, cols, signs)
 
 
 ALGEBRAS = {

@@ -9,6 +9,7 @@ inverse carries the per-bin weight (1/L)^n.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -31,8 +32,8 @@ class GridSpec:
             raise ValueError("spatial dimension must be 2 or 3")
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError("points per axis must be a power of two, at least 8")
-        if self.L <= 0:
-            raise ValueError("box length must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError("box length must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -130,10 +131,12 @@ def norm(f) -> float:
 
 
 def rel_error(a, b) -> float:
-    """|a - b| / |b| over whole fields, with a 0/0 guard."""
-    d = float(np.linalg.norm(a.data - b.data))
+    """|a - b| / |b| over whole fields.  An all-zero reference b has no
+    relative error: that raises ValueError instead of reading as 0."""
     r = float(np.linalg.norm(b.data))
-    return d / r if r > 0 else d
+    if r == 0:
+        raise ValueError("relative error against an all-zero reference field")
+    return float(np.linalg.norm(a.data - b.data)) / r
 
 
 def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:

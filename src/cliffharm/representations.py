@@ -322,14 +322,15 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
 # residual checks
 
 def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
-    """|| H(P f) -+ P f || / || P f || for P the Hardy projection."""
+    """|| H(P f) -+ P f || / || P f || for P the Hardy projection.  Raises
+    ValueError when P f is identically zero: there is nothing to check."""
     s_ = _parse_sign(sign)
     p = hardy_project(s_, f)
-    den = fl.norm(p)
+    den = np.linalg.norm(p.data)
     if den == 0:
-        return 0.0
+        raise ValueError("Hardy projection of the field is identically zero")
     hp = hilbert(p)
-    return float(np.linalg.norm(hp.data - s_ * p.data) / np.linalg.norm(p.data))
+    return float(np.linalg.norm(hp.data - s_ * p.data) / den)
 
 
 def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto") -> float:

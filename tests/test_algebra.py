@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,61 @@ def test_random_products_match_oracle(name, gens):
     M = rep._left_mult_matrix(c, name)
     for v in rand(20):
         assert close(M @ v, alg.geometric_product(c, v, a))
+
+
+def _kernel_cases(dim, rng):
+    """Operand pairs for Algebra.product.  Those whose right operand holds
+    more than one block of points (33 * 37 or 600, neither a multiple of the
+    block) run the blocked path, the rest the single einsum."""
+
+    def rand(*shape):
+        return rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
+
+    c = rand()
+    return {
+        "field x field": (rand(33, 37), rand(33, 37)),
+        "constant x field": (c, rand(33, 37)),
+        "field x constant": (rand(33, 37), c),
+        "stride-0 constant x field": (np.broadcast_to(c, (33, 37, dim)), rand(33, 37)),
+        "field x stride-0 constant": (rand(33, 37), np.broadcast_to(c, (33, 37, dim))),
+        "two-sided broadcast": (rand(9, 1), rand(1, 300)),
+        "two-sided broadcast, blocked": (rand(9, 1), rand(1, 600)),
+        "real operands": (rng.standard_normal((33, 37, dim)), rng.standard_normal((33, 37, dim))),
+        "constant x identity": (c, np.eye(dim)),
+        "empty": (rand(0), rand(0)),
+    }
+
+
+@pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3), ("H", 2)])
+def test_product_kernel_matches_dense_contraction(name, gens):
+    a = alg.get_algebra(name)
+    rng = np.random.default_rng(17)
+    for case, (x, y) in _kernel_cases(a.dim, rng).items():
+        got = a.product(x, y)
+        want = np.einsum("ijk,...i,...j->...k", a.tensor, x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype, case
+        assert np.array_equal(got, want), case
+
+        xb, yb = np.broadcast_arrays(x, y)
+        xb, yb, flat = (v.reshape(-1, a.dim) for v in (xb, yb, got))
+        for p in rng.choice(len(flat), size=min(50, len(flat)), replace=False):
+            want_p = _from_oracle(oracle.mv_mul(_to_oracle(xb[p], gens), _to_oracle(yb[p], gens)), gens)
+            assert alg.coeff_norm(flat[p] - want_p) < 1e-12 * max(alg.coeff_norm(want_p), 1.0), case
+
+
+def test_product_memory_stays_near_its_output():
+    """The gathered right operand is built one block at a time, so a field
+    product allocates little beyond its output (a whole gather is 8x it)."""
+    a = alg.get_algebra("Cl3")
+    rng = np.random.default_rng(23)
+    F, G = (rng.standard_normal((2**16, 8)) + 1j * rng.standard_normal((2**16, 8)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        out = a.product(F, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes, (peak, out.nbytes)
 
 
 def test_structure_tensor_is_read_only_in_algebra():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ def test_grid_spec_validation():
         fl.GridSpec(2, 12, 10.0)  # not a power of two
     with pytest.raises(ValueError):
         fl.GridSpec(2, 4, 10.0)  # too small
+    for L in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fl.GridSpec(2, 16, L)
     spec = fl.GridSpec(2, 16, 8.0)
     assert spec.h == 0.5
     assert spec.axis()[0] == -4.0
@@ -115,6 +120,9 @@ def test_read_rejects_other_files(tmp_path):
     cases = {
         "junk.clf": b"not a field at all",
         "short_header.clf": fl.MAGIC + b"\x02\x00\x00\x00\x10\x00",
+        "nan_length.clf": fl.MAGIC + struct.pack("<IId", 2, 8, float("nan")) + bytes(16 * 8 * 8 * 4),
+        "inf_length.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": Infinity, '
+                           b'"value_algebra": "Cl2", "values": []}',
         "not_an_object.json": b"[1]",
         "bad_rows.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, '
                          b'"value_algebra": "Cl2", "values": [[1, 2]]}',
@@ -124,6 +132,15 @@ def test_read_rejects_other_files(tmp_path):
         p.write_bytes(content)
         with pytest.raises(ValueError):
             fl.read_field(p)
+
+
+def test_rel_error_refuses_a_zero_reference():
+    spec = fl.GridSpec(2, 8, 4.0)
+    zero = fl.CliffordField(spec, "Cl2", np.zeros(spec.shape + (4,), dtype=complex))
+    with pytest.raises(ValueError):
+        fl.rel_error(zero, zero)
+    f = fl.make_band_limited_random(spec, "Cl2", 0.4, 3)
+    assert fl.rel_error(zero, f) == 1.0
 
 
 def test_spectral_upsample_interpolates():

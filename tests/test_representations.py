@@ -250,6 +250,14 @@ def test_riesz_covariance_for_quarter_turns(n):
     assert rp.riesz_covariance_residual(g.s, f, mode="grid") < 1e-12
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_hilbert_eigen_check_refuses_a_zero_field(sign):
+    spec = fl.GridSpec(2, 8, 4.0)
+    zero = fl.CliffordField(spec, "Cl2", np.zeros(spec.shape + (4,), dtype=complex))
+    with pytest.raises(ValueError):
+        rp.hilbert_eigen_check(sign, zero)
+
+
 def test_commutant_dimensions_at_the_small_size():
     r1 = rp.commutant_dimension_experiment(fl.GridSpec(3, 16, 10.0), restriction="S2")
     assert r1.dimension == 2

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -231,6 +232,15 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
         res = run_cli("transform", "hilbert", bad, out)
         assert res.returncode == 2, (name, res.stderr)
         assert "Traceback" not in res.stderr, name
+
+
+def test_cli_transform_refuses_non_finite_box_length(tmp_path):
+    bad = tmp_path / "nan_length.clf"
+    bad.write_bytes(fl.MAGIC + struct.pack("<IId", 2, 8, float("nan")) + bytes(16 * 8 * 8 * 4))
+    res = run_cli("transform", "hilbert", bad, tmp_path / "out.clf")
+    assert res.returncode == 2, res.stderr
+    assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_verify_refuses_grid_with_empty_band():
