@@ -205,11 +205,13 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
 
 
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField, section=None) -> float:
-    nf = fl.norm(f)
-    if nf == 0:
-        return 0.0
+    """|| f - P f || / || f || for P the subspace projection.  Raises
+    ValueError on an all-zero field: there is nothing to check."""
+    den = np.linalg.norm(f.data)
+    if den == 0:
+        raise ValueError("membership residual of an all-zero field")
     p = subspace_project(id, f, section)
-    return float(np.linalg.norm(f.data - p.data) / np.linalg.norm(f.data))
+    return float(np.linalg.norm(f.data - p.data) / den)
 
 
 _DEFAULT_ALGEBRA = {2: "Cl2", 3: "H"}
@@ -281,11 +283,11 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
 
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
     """Distance to the pointwise condition f = chi_sign(x/|x|) f."""
-    chi_arr = _chi_spatial_array(f, sign)
-    filtered = f.algebra.product(chi_arr, f.data)
     den = np.linalg.norm(f.data)
     if den == 0:
-        return 0.0
+        raise ValueError("half-space residual of an all-zero field")
+    chi_arr = _chi_spatial_array(f, sign)
+    filtered = f.algebra.product(chi_arr, f.data)
     return float(np.linalg.norm(f.data - filtered) / den)
 
 
@@ -339,21 +341,21 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
     Grid mode runs both operator orders on the grid (exact for
     grid-preserving g).  Mode mode compares the two orders mode by mode,
     which sidesteps off-grid resampling error and is exact for band-limited
-    data.
+    data.  Raises ValueError on an all-zero field.
     """
+    den = np.linalg.norm(f.data)
+    if den == 0:
+        raise ValueError("commutation residual of an all-zero field")
     if mode == "auto":
         mode = "grid" if fl.is_grid_preserving(g, f.spec) else "modes"
     if mode == "grid":
         a = hilbert(natural_rep(g, f))
         b = natural_rep(g, hilbert(f))
-        den = np.linalg.norm(f.data)
-        return float(np.linalg.norm(a.data - b.data) / den) if den else 0.0
+        return float(np.linalg.norm(a.data - b.data) / den)
     if mode != "modes":
         raise ValueError(f"unknown mode {mode!r}")
     F = fl.spectral_forward(f)
     occ, xi = fl.occupied_modes(F)
-    if occ.shape[0] == 0:
-        return 0.0
     spec = f.spec
     A = rotation_matrix(g.s)
     eta = (xi @ A.T) / g.r
@@ -372,7 +374,7 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
     rhs = geometric_product(sval, geometric_product(symbol_rows(xi), c, a), a)
     num2 = float(np.sum(np.abs(lhs - rhs) ** 2))
     den2 = float(np.sum(np.abs(c) ** 2))
-    return float(np.sqrt(num2 / den2)) if den2 else 0.0
+    return float(np.sqrt(num2 / den2))
 
 
 def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | None = None) -> float:
@@ -391,10 +393,14 @@ def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | No
 def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "auto") -> float:
     """max_j || rot R_j rot^-1 f - sum_k A_jk R_k f || / ||f|| for the plain
     rotation action (no value factor).  Mode mode evaluates the scalar symbol
-    identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes."""
+    identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes.  Raises
+    ValueError on an all-zero field."""
     spec = f.spec
     if s.n != spec.n:
         raise ValueError("rotor dimension does not match the field")
+    den = np.linalg.norm(f.data)
+    if den == 0:
+        raise ValueError("covariance residual of an all-zero field")
     A = rotation_matrix(s)
     rot = GroupElement(1.0, s.inverse(), np.zeros(spec.n))
     if mode == "auto":
@@ -402,7 +408,6 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
     if mode == "grid":
         unrot = GroupElement(1.0, s, np.zeros(spec.n))
         worst = 0.0
-        den = np.linalg.norm(f.data)
         for j in range(spec.n):
             lhs = fl.resample_action(rot, riesz(j, fl.resample_action(unrot, f)))
             acc = np.zeros_like(f.data)
@@ -414,8 +419,6 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
         raise ValueError(f"unknown mode {mode!r}")
     F = fl.spectral_forward(f)
     occ, xi = fl.occupied_modes(F)
-    if occ.shape[0] == 0:
-        return 0.0
     c = F.data[tuple(occ.T)]
     wc = np.sum(np.abs(c) ** 2, axis=-1)
     den2 = float(np.sum(wc))

@@ -76,6 +76,8 @@ class SuiteConfig:
             raise UsageError(f"n must be 2 or 3, got {self.n}")
         if self.mode is not None and self.mode not in ("exact", "spectral"):
             raise UsageError(f"mode must be exact or spectral, got {self.mode!r}")
+        if self.parallel < 1:
+            raise UsageError(f"parallel must be at least 1, got {self.parallel}")
         for k, v in self.tol_overrides.items():
             if float(v) <= 0:
                 raise UsageError(f"tolerance for {k} must be positive, got {v}")

@@ -18,8 +18,6 @@ import numpy as np
 from . import fields as fl
 from .algebra import get_algebra, vector_embed
 
-_TAIL_CACHE: dict = {}
-
 
 def _unit_direction(grids):
     """Component arrays x_j/|x| with the origin mapped to 0."""
@@ -126,40 +124,22 @@ def _sphere_area(n: int) -> float:
     return 2 * pi ** ((n + 1) / 2) / gamma((n + 1) / 2)
 
 
+# Sigma'_{m in Z^n} |m|^-(n+1) over the nonzero lattice points: 4 zeta(3/2)
+# beta(3/2) for n = 2 and the Epstein zeta value Z_3(2) for n = 3 (Borwein,
+# Glasser, McPhedran, Wan & Zucker, Lattice Sums Then and Now, CUP 2013).
+# tests/test_transforms.py recomputes both from an Ewald series.
+_LATTICE_SUM = {2: 9.033621683100950, 3: 16.532315959761670}
+
+
 def _lattice_tail(n: int, L: float, M: int) -> float:
-    """sum over |m|_inf > M of |m L|^-(n+1), by direct summation plus an
-    integral estimate beyond the summation radius."""
-    key = (n, L, M)
-    if key in _TAIL_CACHE:
-        return _TAIL_CACHE[key]
-    if n == 2:
-        Mbig = 2000
-        T = 0.0
-        for lo in range(M + 1, Mbig + 1, 100):
-            hi = min(lo + 99, Mbig)
-            ax = np.arange(-hi, hi + 1)
-            X, Y = np.meshgrid(ax, ax, indexing="ij")
-            r = np.sqrt(X * X + Y * Y)
-            band = (np.maximum(np.abs(X), np.abs(Y)) >= lo) & (np.maximum(np.abs(X), np.abs(Y)) <= hi)
-            T += float(np.sum(1.0 / r[band] ** 3))
-        T += 2 * pi / Mbig
-        T /= L ** 3
-    elif n == 3:
-        Mbig = 150
-        ax = np.arange(-Mbig, Mbig + 1)
-        Y, Z = np.meshgrid(ax, ax, indexing="ij")
-        T = 0.0
-        for mx in ax:
-            r2 = mx * mx + Y * Y + Z * Z
-            band = np.maximum(np.abs(Y), np.maximum(np.abs(Z), abs(mx))) > M
-            with np.errstate(divide="ignore"):
-                T += float(np.sum(np.where(band, 1.0 / r2 ** 2, 0.0)))
-        T += 4 * pi / Mbig
-        T /= L ** 4
-    else:
+    """sum over |m|_inf > M of |m L|^-(n+1): the closed-form full lattice
+    sum minus the direct sum over the nonzero points of the cube |m|_inf <= M."""
+    if n not in _LATTICE_SUM:
         raise ValueError("n must be 2 or 3")
-    _TAIL_CACHE[key] = T
-    return T
+    ax = np.arange(-M, M + 1, dtype=float)
+    r2 = sum(np.meshgrid(*(ax * ax,) * n, indexing="ij", sparse=True))
+    inner = float(np.sum(r2[r2 > 0] ** (-(n + 1) / 2)))
+    return (_LATTICE_SUM[n] - inner) / L ** (n + 1)
 
 
 def _correlate_scalar_kernel(K: np.ndarray, data: np.ndarray, h: float, n: int) -> np.ndarray:

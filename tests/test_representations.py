@@ -250,12 +250,15 @@ def test_riesz_covariance_for_quarter_turns(n):
     assert rp.riesz_covariance_residual(g.s, f, mode="grid") < 1e-12
 
 
+def _zero_cl2_field():
+    spec = fl.GridSpec(2, 8, 4.0)
+    return fl.CliffordField(spec, "Cl2", np.zeros(spec.shape + (4,), dtype=complex))
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_hilbert_eigen_check_refuses_a_zero_field(sign):
-    spec = fl.GridSpec(2, 8, 4.0)
-    zero = fl.CliffordField(spec, "Cl2", np.zeros(spec.shape + (4,), dtype=complex))
     with pytest.raises(ValueError):
-        rp.hilbert_eigen_check(sign, zero)
+        rp.hilbert_eigen_check(sign, _zero_cl2_field())
 
 
 def test_commutant_dimensions_at_the_small_size():
@@ -275,3 +278,34 @@ def test_shift_commutant_toy_is_diagonalized_by_the_dft():
     report = rp.translations_force_multiplier_toy(N=8, seed=3)
     assert report.dimension == report.expected == 8
     assert report.offdiagonal_residual < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["grid", "modes"])
+def test_residuals_refuse_a_zero_field(mode):
+    zero = _zero_cl2_field()
+    s = _quarter_turn(2)
+    with pytest.raises(ValueError):
+        rp.commutation_residual(sp.GroupElement(1.0, s, np.zeros(2)), zero, mode=mode)
+    with pytest.raises(ValueError):
+        rp.riesz_covariance_residual(s, zero, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        lambda f: rp.subspace_membership_residual(rp.SubspaceId.HardyPlus, f),
+        lambda f: rp.subspace_membership_residual(rp.SubspaceId.TildeTildeH1Plus, f),
+        lambda f: rp._spatial_half_residual(1, f),
+    ],
+    ids=["HardyPlus", "TildeTildeH1Plus", "half_space"],
+)
+def test_membership_residuals_refuse_a_zero_field(residual):
+    with pytest.raises(ValueError):
+        residual(_zero_cl2_field())
+
+
+@pytest.mark.parametrize("subspace", [None, rp.SubspaceId.TildeTildeH1Plus])
+def test_induced_rep_refuses_a_zero_field(subspace):
+    g = sp.GroupElement(1.0, _quarter_turn(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        rp.induced_rep("+", g, _zero_cl2_field(), subspace)

@@ -51,11 +51,20 @@ def test_run_suite_in_process_smoke():
         {"n": 4},
         {"mode": "sideways"},
         {"tol_overrides": {"some_case": -1.0}},
+        {"parallel": 0},
     ],
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(suites.UsageError):
         suites.SuiteConfig(**kwargs)
+
+
+def test_parallel_run_matches_sequential():
+    def rows(parallel):
+        results, _ = suites.run_suite(suites.SuiteConfig(suite="all", n=2, parallel=parallel))
+        return [(r.suite, r.case, r.residual, r.passed) for r in results]
+
+    assert rows(2) == rows(1)
 
 
 def test_tolerance_overrides_only_loosen():
@@ -104,6 +113,16 @@ def test_cli_rejects_unknown_suite():
     p = run_cli("verify", "--suite", "nonsense")
     assert p.returncode == 2
     assert "unknown suite" in p.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_rejects_parallel_below_one(value, tmp_path):
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"parallel = {value}\n")
+    for args in (("--parallel", value), ("--config", conf)):
+        p = run_cli("verify", "--suite", "algebra", *args)
+        assert p.returncode == 2
+        assert p.stderr.startswith("error:") and "Traceback" not in p.stderr
 
 
 def test_cli_rejects_tightened_tolerance():

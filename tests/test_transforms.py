@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,48 @@ def test_cauchy_extension_matches_damped_projection():
     assert fl.norm(diff) / fl.norm(f) < 5e-4
     with pytest.raises(ValueError):
         tr.cauchy_extend(f, -0.1)
+
+
+def _epstein_zeta_ewald(d, s, R=6):
+    """sum over nonzero m in Z^d of |m|^(-2s), from the Ewald split
+    pi^-s Gamma(s) Z(s) = -1/s + 1/(s - d/2)
+                          + sum'_m [G_s(pi |m|^2) + G_(d/2-s)(pi |m|^2)]
+    with G_a(x) = Gamma(a, x) / x^a, truncated at |m|_inf <= R."""
+    ax = np.arange(-R, R + 1, dtype=float)
+    x = np.pi * sum(np.meshgrid(*(ax * ax,) * d, indexing="ij")).ravel()
+    x = x[x > 0]
+    e = np.array([math.exp(-v) for v in x])
+    g_half = math.sqrt(math.pi) * np.array([math.erfc(math.sqrt(v)) for v in x])
+    upper = {  # Gamma(a, x) for the orders the two sums need
+        1.5: g_half / 2 + np.sqrt(x) * e,
+        -0.5: 2 * (e / np.sqrt(x) - g_half),
+        2.0: (1 + x) * e,
+    }
+    a, b = s, d / 2 - s
+    total = -1 / s + 1 / (s - d / 2) + np.sum(upper[a] / x ** a + upper[b] / x ** b)
+    return total * math.pi ** s / math.gamma(s)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_sum_constants_match_an_ewald_series(n):
+    s = (n + 1) / 2
+    want = _epstein_zeta_ewald(n, s)
+    assert abs(tr._LATTICE_SUM[n] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_tail_drops_by_one_shell_per_step(n):
+    for L in (1.0, 12.0):
+        for M in range(5):
+            ax = np.arange(-(M + 1), M + 2)
+            m = np.stack(np.meshgrid(*(ax,) * n, indexing="ij"), axis=-1).reshape(-1, n)
+            shell = m[np.max(np.abs(m), axis=1) == M + 1].astype(float)
+            direct = np.sum(np.sum(shell ** 2, axis=1) ** (-(n + 1) / 2)) / L ** (n + 1)
+            step = tr._lattice_tail(n, L, M) - tr._lattice_tail(n, L, M + 1)
+            assert step == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_lattice_tail_refuses_other_dimensions(n):
+    with pytest.raises(ValueError):
+        tr._lattice_tail(n, 1.0, 2)
