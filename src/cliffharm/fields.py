@@ -19,6 +19,9 @@ from . import algebra as alg
 from .spin import GroupElement, inverse as group_inverse, rotation_matrix
 
 MAGIC = b"CLF1"
+# rows of the per-axis phase product that resample_action forms at once,
+# the block size of Algebra.product
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,18 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     """Samples of x -> f(g^{-1} x).
 
     Grid-preserving g (r=1, axis quarter-turn spin, on-grid shift) permutes
-    the samples exactly.  Otherwise the field is evaluated by summing its
-    occupied frequency modes at the transformed points, which is exact for
+    the samples exactly.  Any other g takes the trigonometric path: the
+    field's occupied frequency modes xi_m, with coefficients c_m, are summed
+    at the points y = r A^-1 x + b, (r, A, b) from g^-1.  That is exact for
     band-limited data; non-band-limited input gets an approximation flag.
+
+    The points are an affine image of the tensor grid, so each phase splits
+    as e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
+    eta = r xi A^-1.  The shift phase is folded into c, each axis gets one
+    (N, M) table E_a, and the last axis goes into W[m, (k, d)] =
+    E_n[k, m] c[m, d].  The output, read as (N^(n-1), N dim), is then
+    (E_1 * ... * E_(n-1))[rows, m] @ W, formed in blocks of at most
+    _BLOCK rows: n N M exponentials instead of N^n M.
     """
     spec = f.spec
     if g.n != spec.n:
@@ -226,22 +238,25 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
         return CliffordField(spec, f.value_algebra, data, f.meta)
 
     F = spectral_forward(f)
-    occ, xi_occ = occupied_modes(F)
-    c_occ = F.data[tuple(occ.T)]
-    K = np.indices(spec.shape)
-    pts = np.stack([(-spec.L / 2 + spec.h * K[a_]).ravel() for a_ in range(spec.n)], axis=-1)
-    xprime = (ginv.r * (pts @ A_inv.T)) + ginv.b
-    out = np.zeros((pts.shape[0], f.algebra.dim), dtype=complex)
-    chunk = 4096
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        phases = np.exp(2j * np.pi * (xprime[lo:hi] @ xi_occ.T))
-        out[lo:hi] = phases @ c_occ
-    out *= (1.0 / spec.L) ** spec.n
+    occ, xi = occupied_modes(F)
+    n, N, dim = spec.n, spec.N, f.algebra.dim
+    c = F.data[tuple(occ.T)] * (np.exp(2j * np.pi * (xi @ ginv.b)) / spec.L ** n)[:, None]
+    eta = ginv.r * (xi @ A_inv)
+    E = np.exp(2j * np.pi * spec.axis()[None, :, None] * eta.T[:, None, :])
+    W = (E[-1].T[:, :, None] * c[:, None, :]).reshape(len(c), N * dim)
+    out = np.empty(spec.shape + (dim,), dtype=complex)
+    rows = out.reshape(-1, N * dim)
+    lead = np.unravel_index(np.arange(len(rows)), (N,) * (n - 1))
+    for lo in range(0, len(rows), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        left = E[0][lead[0][blk]]
+        for a_ in range(1, n - 1):
+            left *= E[a_][lead[a_][blk]]
+        np.matmul(left, W, out=rows[blk])
     meta = dict(f.meta)
     if f.meta.get("band_limit") is None:
         meta["approximation_mode"] = True
-    return CliffordField(spec, f.value_algebra, out.reshape(spec.shape + (f.algebra.dim,)), meta)
+    return CliffordField(spec, f.value_algebra, out, meta)
 
 
 def shift_cells(f: CliffordField, steps) -> CliffordField:
@@ -297,6 +312,8 @@ def read_field_binary(path) -> CliffordField:
     except KeyError:
         raise ValueError(f"no value algebra with {M} blades for n={spec.n}")
     raw = np.frombuffer(body, dtype="<f8").reshape(npts, M, 2)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("CLF1 payload holds a non-finite value")
     data = (raw[..., 0] + 1j * raw[..., 1]).reshape(spec.shape + (M,))
     return CliffordField(spec, value_algebra, data)
 
@@ -328,6 +345,8 @@ def read_field_json(path) -> CliffordField:
         flat = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed CLF1 json document: {err!r}") from err
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("CLF1 json values hold a non-finite value")
     return CliffordField(spec, value_algebra, flat.reshape(spec.shape + (a.dim,)))
 
 

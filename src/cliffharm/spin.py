@@ -6,6 +6,7 @@ rotor s, translation b.  The action on a vector is x -> r(s x s^-1) + b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,13 @@ class GroupElement:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("dilation must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError("dilation must be positive and finite")
         b = np.asarray(self.b, dtype=float)
         if b.shape != (self.s.n,):
             raise ValueError("translation length must match the spin dimension")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("translation must be finite")
         object.__setattr__(self, "b", b)
 
     @property

@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -79,8 +79,8 @@ class SuiteConfig:
         if self.parallel < 1:
             raise UsageError(f"parallel must be at least 1, got {self.parallel}")
         for k, v in self.tol_overrides.items():
-            if float(v) <= 0:
-                raise UsageError(f"tolerance for {k} must be positive, got {v}")
+            if not (isfinite(float(v)) and float(v) > 0):
+                raise UsageError(f"tolerance for {k} must be positive and finite, got {v}")
 
     def wants(self, n: int) -> bool:
         return self.n is None or self.n == n

@@ -11,7 +11,7 @@ components pass through the projections and are dropped by H and R_j.
 
 from __future__ import annotations
 
-from math import gamma, pi
+from math import gamma, isfinite, pi
 
 import numpy as np
 
@@ -111,8 +111,8 @@ def hardy_project(sign, f: fl.CliffordField) -> fl.CliffordField:
 
 def poisson_extend(f: fl.CliffordField, x0: float) -> fl.CliffordField:
     """Harmonic extension to height |x0|: spectral damping exp(-2 pi |x0| |xi|)."""
-    if x0 == 0:
-        raise ValueError("extension height must be nonzero")
+    if not (isfinite(x0) and x0 != 0):
+        raise ValueError("extension height must be finite and nonzero")
     F = fl.spectral_forward(f)
     damp = np.exp(-2 * pi * abs(x0) * f.spec.freq_magnitude())
     F.data = F.data * damp[..., None]
@@ -211,8 +211,8 @@ def cauchy_extend(
     Quadrature refines the grid by trigonometric interpolation, periodizes
     by image sums, and corrects the truncated image tail analytically.
     """
-    if x0 <= 0:
-        raise ValueError("extension height must be positive")
+    if not (isfinite(x0) and x0 > 0):
+        raise ValueError("extension height must be positive and finite")
     spec = f.spec
     n = spec.n
     p = n + 1 if kernel_exponent is None else kernel_exponent

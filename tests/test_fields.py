@@ -1,4 +1,6 @@
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +128,9 @@ def test_read_rejects_other_files(tmp_path):
         "not_an_object.json": b"[1]",
         "bad_rows.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, '
                          b'"value_algebra": "Cl2", "values": [[1, 2]]}',
+        "nan_value.clf": fl.MAGIC + struct.pack("<IId", 2, 8, 1.0) + np.full(8 * 8 * 4 * 2, np.nan).tobytes(),
+        "inf_value.json": json.dumps({"format": "CLF1", "n": 2, "N": 8, "L": 1.0, "value_algebra": "Cl2",
+                                      "values": [[[float("inf"), 0.0]] * 4] * 64}).encode(),
     }
     for name, content in cases.items():
         p = tmp_path / name
@@ -208,6 +213,57 @@ def test_resample_composition_on_grid():
     once = fl.resample_action(sp.compose(g1, g2), f)
     twice = fl.resample_action(g1, fl.resample_action(g2, f))
     assert np.allclose(once.data, twice.data, atol=1e-13)
+
+
+def _direct_mode_sum(g, f):
+    """f(g^-1 x) at every grid point, one exponential per (point, mode)."""
+    spec = f.spec
+    F = fl.spectral_forward(f)
+    idx, xi = fl.occupied_modes(F)
+    x = np.stack([X.ravel() for X in spec.coords()], axis=-1)
+    y = sp.act_vector(sp.inverse(g), x)
+    vals = np.exp(2j * np.pi * (y @ xi.T)) @ F.data[tuple(idx.T)] / spec.L ** spec.n
+    return vals.reshape(f.data.shape)
+
+
+@pytest.mark.parametrize(
+    "algebra, n, N, band",
+    # H 32^3 has 1024 output rows, so the product runs in two blocks
+    [("Cl2", 2, 32, 0.5), ("Cl3", 3, 16, 0.4), ("H", 3, 16, 0.4), ("H", 3, 32, 0.2)],
+)
+def test_resample_off_grid_matches_direct_mode_sum(algebra, n, N, band):
+    spec = fl.GridSpec(n, N, 9.0)
+    f = fl.make_band_limited_random(spec, algebra, band, 21)
+    rng = np.random.default_rng(22)
+    moves = [
+        sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
+        for _ in range(3)
+    ]
+    moves.append(sp.GroupElement(2.0, sp.identity_spin(n), np.zeros(n)))
+    for g in moves:
+        assert not fl.is_grid_preserving(g, spec)
+        want = _direct_mode_sum(g, f)
+        got = fl.resample_action(g, f).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    zero = fl.zero_field(spec, algebra)
+    got = fl.resample_action(moves[0], zero).data
+    assert not np.any(got) and np.array_equal(got, _direct_mode_sum(moves[0], zero))
+
+
+def test_resample_off_grid_memory_stays_below_one_phase_chunk():
+    spec = fl.GridSpec(3, 32, 10.0)
+    f = fl.make_band_limited_random(spec, "Cl3", 0.4, 23)
+    M = len(fl.occupied_modes(fl.spectral_forward(f))[0])
+    assert M == 1044
+    rng = np.random.default_rng(24)
+    g = sp.GroupElement(1.3, sp.random_spin(3, rng), rng.standard_normal(3))
+    tracemalloc.start()
+    try:
+        fl.resample_action(g, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * M * 16
 
 
 def test_value_algebra_must_match_spatial_dimension():

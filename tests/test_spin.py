@@ -131,6 +131,12 @@ def test_rotor_validation():
         sp.GroupElement(0.0, sp.identity_spin(2), np.zeros(2))
     with pytest.raises(ValueError):
         sp.GroupElement(1.0, sp.identity_spin(2), np.zeros(3))
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sp.GroupElement(r, sp.identity_spin(2), np.zeros(2))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            sp.GroupElement(1.0, sp.identity_spin(2), np.array([0.3, bad]))
 
 
 @pytest.mark.parametrize("n", [2, 3])

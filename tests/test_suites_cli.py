@@ -52,6 +52,8 @@ def test_run_suite_in_process_smoke():
         {"mode": "sideways"},
         {"tol_overrides": {"some_case": -1.0}},
         {"parallel": 0},
+        {"tol_overrides": {"some_case": float("nan")}},
+        {"tol_overrides": {"some_case": float("inf")}},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -128,6 +130,13 @@ def test_cli_rejects_parallel_below_one(value, tmp_path):
 def test_cli_rejects_tightened_tolerance():
     p = run_cli("verify", "--suite", "algebra", "--tol", "associativity=1e-30")
     assert p.returncode == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_tolerance(value):
+    p = run_cli("verify", "--suite", "algebra", "--tol", f"associativity={value}")
+    assert p.returncode == 2
+    assert p.stderr.startswith("error:") and "Traceback" not in p.stderr
 
 
 def test_cli_accepts_loosened_tolerance(tmp_path):
@@ -244,6 +253,7 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
         "not_an_object.json": b"[1]",
         "bad_rows.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, '
                          b'"value_algebra": "Cl2", "values": [[1, 2]]}',
+        "nan_values.clf": fl.MAGIC + struct.pack("<IId", 2, 8, 1.0) + np.full(8 * 8 * 4 * 2, np.nan).tobytes(),
     }
     for name, content in bad_files.items():
         bad = tmp_path / name
@@ -260,6 +270,20 @@ def test_cli_transform_refuses_non_finite_box_length(tmp_path):
     assert res.returncode == 2, res.stderr
     assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "op",
+    ["natrep:nan|4;0:1,0|0,0", "natrep:1|4;0:1,0|0.3,inf", "poisson:nan", "cauchy:inf"],
+)
+def test_cli_transform_refuses_non_finite_parameters(op, sample_field, tmp_path):
+    _, path = sample_field
+    out = tmp_path / "out.clf"
+    res = run_cli("transform", op, path, out)
+    assert res.returncode == 2, res.stderr
+    assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_cli_verify_refuses_grid_with_empty_band():
