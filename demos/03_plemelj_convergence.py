@@ -22,7 +22,7 @@ def main():
     print()
     print("  height   distance to target   distance to damped target")
     for x0 in (0.4, 0.2, 0.1):
-        C = tr.cauchy_extend(f, x0, upsample=8)
+        C = tr.cauchy_extend(f, x0)
         to_limit = fl.norm(fl.CliffordField(spec, "Cl2", C.data - half_sum)) / fnorm
         damped = tr.hardy_project("+", tr.poisson_extend(f, x0))
         to_damped = fl.norm(fl.CliffordField(spec, "Cl2", C.data - damped.data)) / fnorm
@@ -32,7 +32,7 @@ def main():
     print("the third stays at quadrature accuracy for every height.")
     print()
 
-    wrong = tr.cauchy_extend(f, 0.1, upsample=8, kernel_exponent=spec.n)
+    wrong = tr.cauchy_extend(f, 0.1, kernel_exponent=spec.n)
     gap = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - half_sum)) / fnorm
     print(f"with the kernel exponent lowered to n the limit is missed: {gap:.3e}")
 

@@ -19,9 +19,11 @@ from . import algebra as alg
 from .spin import GroupElement, inverse as group_inverse, rotation_matrix
 
 MAGIC = b"CLF1"
-# rows of the per-axis phase product that resample_action forms at once,
-# the block size of Algebra.product
+# rows of the per-axis phase product that resample_action forms at once (the
+# block size of Algebra.product), cut so that rows x modes stays within 2^20
 _BLOCK = 512
+# the most grid points a GridSpec may hold: N <= 2048 for n = 2, N <= 128 for n = 3
+MAX_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class GridSpec:
             raise ValueError("spatial dimension must be 2 or 3")
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError("points per axis must be a power of two, at least 8")
+        if self.N**self.n > MAX_POINTS:
+            raise ValueError(f"a {self.N}^{self.n} grid is above the cap of 2^22 = {MAX_POINTS} points")
         if not (math.isfinite(self.L) and self.L > 0):
             raise ValueError("box length must be positive and finite")
 
@@ -218,7 +222,7 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     (N, M) table E_a, and the last axis goes into W[m, (k, d)] =
     E_n[k, m] c[m, d].  The output, read as (N^(n-1), N dim), is then
     (E_1 * ... * E_(n-1))[rows, m] @ W, formed in blocks of at most
-    _BLOCK rows: n N M exponentials instead of N^n M.
+    _BLOCK rows and 2^20 / M rows: n N M exponentials instead of N^n M.
     """
     spec = f.spec
     if g.n != spec.n:
@@ -247,8 +251,9 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     out = np.empty(spec.shape + (dim,), dtype=complex)
     rows = out.reshape(-1, N * dim)
     lead = np.unravel_index(np.arange(len(rows)), (N,) * (n - 1))
-    for lo in range(0, len(rows), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
+    step = min(_BLOCK, max(1, 2**20 // max(len(c), 1)))
+    for lo in range(0, len(rows), step):
+        blk = slice(lo, lo + step)
         left = E[0][lead[0][blk]]
         for a_ in range(1, n - 1):
             left *= E[a_][lead[a_][blk]]
@@ -339,11 +344,14 @@ def read_field_json(path) -> CliffordField:
     if not isinstance(doc, dict) or doc.get("format") != "CLF1":
         raise ValueError("not a CLF1 json document")
     try:
-        spec = GridSpec(int(doc["n"]), int(doc["N"]), float(doc["L"]))
+        n, N, L = doc["n"], doc["N"], doc["L"]
+        if not (type(n) is type(N) is int and type(L) in (int, float)):  # not bool, not 2.5
+            raise ValueError(f"CLF1 json needs integers n and N and a number L, got {n!r}, {N!r}, {L!r}")
+        spec = GridSpec(n, N, float(L))
         value_algebra = doc["value_algebra"]
         a = alg.get_algebra(value_algebra)
         flat = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed CLF1 json document: {err!r}") from err
     if not np.all(np.isfinite(flat)):
         raise ValueError("CLF1 json values hold a non-finite value")

@@ -135,16 +135,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(1.0 / g.r, si, -_sandwich(si, g.b) / g.r)
 
 
-def actions_equal(g: GroupElement, h: GroupElement, tol: float = 1e-10) -> bool:
-    """Equality as transformations of R^n (blind to the double-cover sign)."""
-    if g.n != h.n:
-        return False
-    probes = np.vstack([np.eye(g.n), np.ones((1, g.n))])
-    return all(
-        np.linalg.norm(act_vector(g, p) - act_vector(h, p)) <= tol for p in probes
-    )
-
-
 def strictly_equal(g: GroupElement, h: GroupElement, tol: float = 0.0) -> bool:
     return (
         g.n == h.n

@@ -345,7 +345,7 @@ def run_hilbert(cfg: SuiteConfig):
         data[..., 0] = np.exp(-pi * (X[0] ** 2 + X[1] ** 2))
         f = fl.CliffordField(spec, "Cl2", data)
         spectral = tr.riesz(0, f)
-        quad = tr.pv_quadrature_riesz(0, f, images=4, levels=3)
+        quad = tr.pv_quadrature_riesz(0, f)
         out.append(_case(cfg, "hilbert", "pv_quadrature_vs_spectral", fl.rel_error(quad, spectral), 1e-3))
     return out, {}
 
@@ -372,7 +372,7 @@ def run_plemelj(cfg: SuiteConfig):
     limit_totals = []
     rows = []
     for x0 in heights:
-        C = tr.cauchy_extend(f, x0, images=4, upsample=8)
+        C = tr.cauchy_extend(f, x0)
         damp = np.exp(-2 * pi * x0 * spec.freq_magnitude())
         damped = fl.SpectralField(spec, "Cl2", F.data * damp[..., None], F.meta)
         quad_target = fl.spectral_inverse(fl.apply_multiplier_array(chi, damped))
@@ -385,7 +385,7 @@ def run_plemelj(cfg: SuiteConfig):
     out.append(_case(cfg, "plemelj", "boundary_limit_monotone", mono, 0.0))
     out.append(_case(cfg, "plemelj", "boundary_limit_final", limit_totals[-1], 5e-2))
 
-    wrong = tr.cauchy_extend(f, heights[-1], upsample=8, kernel_exponent=spec.n)
+    wrong = tr.cauchy_extend(f, heights[-1], kernel_exponent=spec.n)
     wrong_total = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - limit_target.data)) / fnorm
     ratio = limit_totals[-1] / wrong_total
     out.append(_case(cfg, "plemelj", "kernel_exponent_separates", ratio, 0.1))
@@ -703,6 +703,9 @@ def run_suite(cfg: SuiteConfig):
             cases, ex = SUITES[name](cfg)
             results.extend(cases)
             extras.update(ex)
+    unused = sorted(set(cfg.tol_overrides) - {r.case for r in results})
+    if unused:
+        raise UsageError(f"tolerance override for no case in this run: {', '.join(unused)}")
     return results, extras
 
 

@@ -142,110 +142,88 @@ def _lattice_tail(n: int, L: float, M: int) -> float:
     return (_LATTICE_SUM[n] - inner) / L ** (n + 1)
 
 
-def _correlate_scalar_kernel(K: np.ndarray, data: np.ndarray, h: float, n: int) -> np.ndarray:
-    """h^n * sum_y K(y) data(x + y, channel) on the periodic grid."""
-    axes = tuple(range(n))
-    FK = np.fft.fftn(np.fft.ifftshift(K), axes=axes)
-    Fd = np.fft.fftn(np.fft.ifftshift(data, axes=axes), axes=axes)
-    out = np.fft.ifftn(np.conj(FK)[..., None] * Fd, axes=axes)
-    return h ** n * np.fft.fftshift(out, axes=axes)
+# Images with |m|_inf <= _IMAGES are summed directly; _lattice_tail stands in
+# for the rest.
+_IMAGES = 4
 
 
-def _riesz_kernel(spec: fl.GridSpec, j: int, images: int) -> np.ndarray:
-    """Periodized y_j / |y|^(n+1) kernel: image sum with the singular cell
-    punctured, plus the analytic correction for the truncated images."""
-    n = spec.n
-    grids = spec.coords()
-    cn = gamma((n + 1) / 2) / pi ** ((n + 1) / 2)
-    K = np.zeros(spec.shape)
+def _image_sum(spec: fl.GridSpec, x0: float, p: int, images: int) -> list:
+    """Parts [K_0, K_1, ..., K_n] of the periodized kernel conj(q)/|q|^p,
+    q = y - x0 the paravector offset to the image point y = x + m L, summed
+    over |m|_inf <= images.  At x0 = 0 the singular cell is punctured; for
+    p = n+1 the truncated far images are added by their linear tail term."""
+    n, L = spec.n, spec.L
+    x = spec.axis()
+    K = [np.zeros(spec.shape) for _ in range(n + 1)]
     for off in np.ndindex(*(2 * images + 1,) * n):
         m = np.array(off) - images
-        shifted = [grids[a] + m[a] * spec.L for a in range(n)]
-        r = np.sqrt(sum(s * s for s in shifted))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = shifted[j] / r ** (n + 1)
-        K += np.nan_to_num(term)
-    T = _lattice_tail(n, spec.L, images)
-    K += -(T / n) * grids[j]
-    return cn * K
+        y = np.meshgrid(*(x + k * L for k in m), indexing="ij", sparse=True)
+        r2 = sum((c * c for c in y), x0 * x0)
+        den = r2 ** (p // 2)
+        if p % 2:
+            den = den * np.sqrt(r2)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / den
+        if x0 == 0 and not m.any():
+            inv[r2 == 0] = 0.0
+        K[0] += inv
+        for a in range(n):
+            K[a + 1] -= y[a] * inv
+    T = _lattice_tail(n, L, images) if p == n + 1 else 0.0
+    K[0] = -x0 * (K[0] + T)
+    for a, xa in enumerate(np.meshgrid(*(x,) * n, indexing="ij", sparse=True)):
+        K[a + 1] += (T / n) * xa
+    return K
 
 
-def pv_quadrature_riesz(j: int, f: fl.CliffordField, images: int = 4, levels: int = 3) -> fl.CliffordField:
-    """Independent spatial oracle for riesz(): punctured periodized kernel
-    summation, refined by Richardson extrapolation over trigonometrically
-    interpolated finer grids.  Slow by design; only used for cross-checks."""
-    if levels not in (1, 2, 3):
-        raise ValueError("levels must be 1, 2, or 3")
+def _correlate(kernels, blades, f: fl.CliffordField) -> np.ndarray:
+    """h^n sum_k sum_y K_k(y) e_k f(x + y) on the periodic grid of f, for
+    real kernels K_k and constant multivectors e_k: one forward transform of
+    f, the sum of conj(F K_k) (e_k F f) bin by bin, one inverse transform."""
     spec = f.spec
+    axes = tuple(range(spec.n))
+    M = np.zeros(f.data.shape, dtype=complex)
+    for K, e in zip(kernels, blades):
+        M += np.conj(np.fft.fftn(np.fft.ifftshift(K)))[..., None] * e
+    Fd = np.fft.fftn(np.fft.ifftshift(f.data, axes=axes), axes=axes)
+    out = np.fft.ifftn(f.algebra.product(M, Fd), axes=axes)
+    return spec.h ** spec.n * np.fft.fftshift(out, axes=axes)
+
+
+def pv_quadrature_riesz(j: int, f: fl.CliffordField) -> fl.CliffordField:
+    """Independent spatial oracle for riesz(): the punctured periodized kernel
+    (2/|S^n|) y_j/|y|^(n+1) summed on the grid and on trigonometrically
+    interpolated 2x and 4x finer grids, combined by Richardson
+    extrapolation.  Slow by design; only used for cross-checks."""
+    spec = f.spec
+    scalar = np.eye(f.algebra.dim)[:1]
     S = []
-    for lev in range(levels):
-        factor = 2 ** lev
+    for factor in (1, 2, 4):
         fu = fl.spectral_upsample(f, factor)
-        K = _riesz_kernel(fu.spec, j, images)
-        C = _correlate_scalar_kernel(K, fu.data, fu.spec.h, spec.n)
-        sl = tuple(slice(None, None, factor) for _ in range(spec.n))
-        S.append(C[sl])
-    if levels == 1:
-        best = S[0]
-    elif levels == 2:
-        best = 2 * S[1] - S[0]
-    else:
-        A = 2 * S[1] - S[0]
-        B = 2 * S[2] - S[1]
-        best = (8 * B - A) / 7
-    return fl.CliffordField(spec, f.value_algebra, best, f.meta)
+        K = -2 / _sphere_area(spec.n) * _image_sum(fu.spec, 0.0, spec.n + 1, _IMAGES)[j + 1]
+        S.append(_correlate([K], scalar, fu)[(slice(None, None, factor),) * spec.n])
+    A = 2 * S[1] - S[0]
+    B = 2 * S[2] - S[1]
+    return fl.CliffordField(spec, f.value_algebra, (8 * B - A) / 7, f.meta)
 
 
-def cauchy_extend(
-    f: fl.CliffordField,
-    x0: float,
-    images: int = 4,
-    upsample: int | None = None,
-    kernel_exponent: int | None = None,
-) -> fl.CliffordField:
+def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = None) -> fl.CliffordField:
     """Cauchy integral of f over the boundary grid, evaluated at height x0.
 
     The kernel is conj(q)/|q|^p with q the offset paravector u - x0 and
     p = n+1 by default (the harmonic-analysis exponent; the value p = n is
     kept selectable to demonstrate that it fails the boundary-limit tests).
-    Quadrature refines the grid by trigonometric interpolation, periodizes
-    by image sums, and corrects the truncated image tail analytically.
+    Quadrature refines the grid by trigonometric interpolation (8x for n = 2,
+    2x for n = 3), periodizes by image sums, and corrects the truncated image
+    tail analytically; p = n takes the nearest image only.
     """
     if not (isfinite(x0) and x0 > 0):
         raise ValueError("extension height must be positive and finite")
     spec = f.spec
     n = spec.n
     p = n + 1 if kernel_exponent is None else kernel_exponent
-    ups = upsample if upsample is not None else (8 if n == 2 else 2)
+    ups = 8 if n == 2 else 2
     fu = fl.spectral_upsample(f, ups)
-    grids = fu.spec.coords()
-    img = images if p == n + 1 else 0
-    Ks = np.zeros(fu.spec.shape)
-    Kv = [np.zeros(fu.spec.shape) for _ in range(n)]
-    for off in np.ndindex(*(2 * img + 1,) * n):
-        m = np.array(off) - img
-        shifted = [grids[a] + m[a] * fu.spec.L for a in range(n)]
-        den = (x0 * x0 + sum(s * s for s in shifted)) ** (p / 2)
-        Ks += -x0 / den
-        for a in range(n):
-            Kv[a] += -shifted[a] / den
-    if p == n + 1:
-        T = _lattice_tail(n, spec.L, img)
-        Ks += -x0 * T
-        for a in range(n):
-            Kv[a] += (T / n) * grids[a]
-    h = fu.spec.h
-    Cs = _correlate_scalar_kernel(Ks, fu.data, h, n)
-    sl = tuple(slice(None, None, ups) for _ in range(n))
-    total = fl.CliffordField(spec, f.value_algebra, Cs[sl], f.meta)
-    for a in range(n):
-        Ca = _correlate_scalar_kernel(Kv[a], fu.data, h, n)[sl]
-        ea = np.zeros(n)
-        ea[a] = 1.0
-        term = fl.left_multiply_constant(
-            vector_embed(ea, f.value_algebra, n),
-            fl.CliffordField(spec, f.value_algebra, Ca, f.meta),
-        )
-        total.data = total.data + term.data
-    total.data = total.data * (-1.0 / _sphere_area(n))
-    return total
+    K = _image_sum(fu.spec, x0, p, _IMAGES if p == n + 1 else 0)
+    C = _correlate(K, np.eye(f.algebra.dim)[: n + 1], fu)[(slice(None, None, ups),) * n]
+    return fl.CliffordField(spec, f.value_algebra, C * (-1.0 / _sphere_area(n)), f.meta)

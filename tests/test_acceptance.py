@@ -152,7 +152,7 @@ def test_ac06_boundary_limit(verdict):
     fnorm = fl.norm(f)
     totals = []
     for x0 in (0.4, 0.2, 0.1):
-        C = tr.cauchy_extend(f, x0, images=4, upsample=8)
+        C = tr.cauchy_extend(f, x0)
         diff = fl.CliffordField(spec, "Cl2", C.data - half_sum)
         totals.append(fl.norm(diff) / fnorm)
     ok = totals[0] > totals[1] > totals[2] and totals[2] < 5e-2

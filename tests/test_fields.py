@@ -27,6 +27,15 @@ def test_grid_spec_validation():
     assert spec.freq_axis()[spec.N // 2] == 0.0
 
 
+def test_grid_spec_caps_the_point_count():
+    for n, N in ((2, 4096), (3, 256)):
+        with pytest.raises(ValueError, match="cap of 2\\^22"):
+            fl.GridSpec(n, N, 1.0)
+    # the largest grids allowed; constructing a spec allocates nothing
+    assert fl.GridSpec(2, 2048, 1.0).N ** 2 == fl.MAX_POINTS
+    assert fl.GridSpec(3, 128, 1.0).N ** 3 == fl.MAX_POINTS // 2
+
+
 @pytest.mark.parametrize("n,N,L,algebra", [(2, 32, 12.0, "Cl2"), (3, 16, 10.0, "H"), (3, 16, 10.0, "Cl3")])
 def test_forward_inverse_roundtrip(n, N, L, algebra):
     spec = fl.GridSpec(n, N, L)
@@ -131,11 +140,19 @@ def test_read_rejects_other_files(tmp_path):
         "nan_value.clf": fl.MAGIC + struct.pack("<IId", 2, 8, 1.0) + np.full(8 * 8 * 4 * 2, np.nan).tobytes(),
         "inf_value.json": json.dumps({"format": "CLF1", "n": 2, "N": 8, "L": 1.0, "value_algebra": "Cl2",
                                       "values": [[[float("inf"), 0.0]] * 4] * 64}).encode(),
+        "huge_grid.clf": fl.MAGIC + struct.pack("<IId", 2, 2**31, 1.0),
     }
+    # each of these would read as a valid 8 x 8 field if the header were cast
+    for name, header in (("fractional_n.json", {"n": 2.5, "N": 8, "L": 1.0}),
+                         ("fractional_N.json", {"n": 2, "N": 8.9, "L": 1.0}),
+                         ("string_L.json", {"n": 2, "N": 8, "L": "1.0"})):
+        doc = dict(header, format="CLF1", value_algebra="Cl2", values=[[[1.0, 0.0]] * 4] * 64)
+        cases[name] = json.dumps(doc).encode()
+    messages = {"huge_grid.clf": "cap of 2\\^22"}
     for name, content in cases.items():
         p = tmp_path / name
         p.write_bytes(content)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=messages.get(name)):
             fl.read_field(p)
 
 
@@ -264,6 +281,22 @@ def test_resample_off_grid_memory_stays_below_one_phase_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4096 * M * 16
+
+
+def test_resample_off_grid_memory_is_bounded_at_full_band():
+    # 17070 modes: a 512-row block of the phase product alone would be 140 MB
+    spec = fl.GridSpec(3, 32, 10.0)
+    f = fl.make_band_limited_random(spec, "Cl3", 1.0, 25)
+    assert len(fl.occupied_modes(fl.spectral_forward(f))[0]) == 17070
+    rng = np.random.default_rng(26)
+    g = sp.GroupElement(0.8, sp.random_spin(3, rng), rng.standard_normal(3))
+    tracemalloc.start()
+    try:
+        fl.resample_action(g, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
 
 
 def test_value_algebra_must_match_spatial_dimension():

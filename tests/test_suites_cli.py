@@ -148,6 +148,31 @@ def test_cli_accepts_loosened_tolerance(tmp_path):
     assert row["tol"] == 1e-6
 
 
+def test_run_suite_refuses_tolerance_overrides_no_case_used():
+    cfg = suites.SuiteConfig(suite="algebra", tol_overrides={"typo_case": 1.0, "associativity": 1e-6})
+    with pytest.raises(suites.UsageError, match="typo_case") as err:
+        suites.run_suite(cfg)
+    assert "associativity" not in str(err.value)
+    results, _ = suites.run_suite(suites.SuiteConfig(suite="algebra", tol_overrides={"associativity": 1e-6}))
+    assert next(r for r in results if r.case == "associativity").tol == 1e-6
+
+
+@pytest.mark.parametrize("key", ["typo_case", "algebra/associativity"])
+def test_cli_refuses_tolerance_for_no_case(key, tmp_path):
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"tol.{key} = 1\n")
+    for args in (("--tol", f"{key}=1"), ("--config", conf)):
+        p = run_cli("verify", "--suite", "algebra", *args)
+        assert p.returncode == 2, (args, p.stderr)
+        assert p.stderr.startswith("error:") and key in p.stderr and "Traceback" not in p.stderr
+
+
+def test_cli_refuses_a_grid_above_the_cap():
+    p = run_cli("verify", "--suite", "spectral", "--N", "4096")
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("error:") and "cap" in p.stderr and "Traceback" not in p.stderr
+
+
 def test_cli_honest_failure_exits_one(tmp_path):
     # a grid spacing too coarse for the smallest extension height: three
     # plemelj cases miss their pinned tolerances and the run reports failure

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -170,8 +171,6 @@ def test_pv_quadrature_reproduces_the_multiplier_route():
     f.meta["band_limit"] = spec.N / (2 * spec.L)
     q = tr.pv_quadrature_riesz(0, f)
     assert fl.rel_error(q, tr.riesz(0, f)) < 1e-4
-    with pytest.raises(ValueError):
-        tr.pv_quadrature_riesz(0, f, levels=4)
 
 
 def test_cauchy_extension_matches_damped_projection():
@@ -182,12 +181,49 @@ def test_cauchy_extension_matches_damped_projection():
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
     f.meta["band_limit"] = spec.N / (2 * spec.L)
-    C = tr.cauchy_extend(f, 0.4, upsample=8)
+    C = tr.cauchy_extend(f, 0.4)
     target = tr.hardy_project("+", tr.poisson_extend(f, 0.4))
     diff = fl.CliffordField(spec, "Cl2", C.data - target.data)
     assert fl.norm(diff) / fl.norm(f) < 5e-4
     with pytest.raises(ValueError):
         tr.cauchy_extend(f, -0.1)
+
+
+def _direct_image_sum(spec, x0, p, images):
+    """The parts of conj(q)/|q|^p, q = (x + m L) - x0, summed image by image
+    and point by point, skipping q = 0, plus the linear far-image tail."""
+    n, L = spec.n, spec.L
+    K = np.zeros((n + 1,) + spec.shape)
+    offsets = list(itertools.product(range(-images, images + 1), repeat=n))
+    for idx in np.ndindex(spec.shape):
+        x = spec.axis()[list(idx)]
+        for m in offsets:
+            y = x + L * np.array(m)
+            r = math.sqrt(x0 * x0 + float(y @ y))
+            if r == 0:
+                continue
+            K[(0,) + idx] -= x0 / r ** p
+            for a in range(n):
+                K[(a + 1,) + idx] -= y[a] / r ** p
+    if p == n + 1:
+        T = tr._lattice_tail(n, L, images)
+        K[0] -= x0 * T
+        for a, xa in enumerate(spec.coords()):
+            K[a + 1] += T / n * xa
+    return K
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.3])
+@pytest.mark.parametrize("n,tail", [(2, False), (2, True), (3, False), (3, True)])
+def test_image_sum_matches_a_direct_sum(n, tail, x0):
+    # shared by both quadrature oracles; x0 = 0 is the punctured Riesz case,
+    # p = n + 1 adds the lattice tail, p = n does not
+    spec = fl.GridSpec(n, 8, 3.0)
+    p = n + 1 if tail else n
+    want = _direct_image_sum(spec, x0, p, 1)
+    got = np.array(tr._image_sum(spec, x0, p, 1))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _epstein_zeta_ewald(d, s, R=6):
