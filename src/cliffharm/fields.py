@@ -22,7 +22,8 @@ MAGIC = b"CLF1"
 # rows of the per-axis phase product that resample_action forms at once (the
 # block size of Algebra.product), cut so that rows x modes stays within 2^20
 _BLOCK = 512
-# the most grid points a GridSpec may hold: N <= 2048 for n = 2, N <= 128 for n = 3
+# the most grid points a GridSpec may hold (N <= 2048 for n = 2, N <= 128 for n = 3),
+# refined grids included
 MAX_POINTS = 2**22
 
 
@@ -275,6 +276,9 @@ def spectral_upsample(f: CliffordField, factor: int) -> CliffordField:
     if factor == 1:
         return f.copy()
     spec = f.spec
+    if (spec.N * factor) ** spec.n > MAX_POINTS:
+        raise ValueError(f"refining a {spec.N}^{spec.n} grid {factor}x gives a {spec.N * factor}^{spec.n} grid, "
+                         f"above the cap of 2^22 = {MAX_POINTS} points")
     fine = GridSpec(spec.n, spec.N * factor, spec.L)
     F = spectral_forward(f)
     a = f.algebra

@@ -36,6 +36,14 @@ def test_grid_spec_caps_the_point_count():
     assert fl.GridSpec(3, 128, 1.0).N ** 3 == fl.MAX_POINTS // 2
 
 
+def test_spectral_upsample_names_the_input_grid_above_the_cap():
+    # the refusal comes before the fine grid is allocated
+    f = fl.zero_field(fl.GridSpec(2, 8, 4.0), "Cl2")
+    with pytest.raises(ValueError, match="refining a 8\\^2 grid 512x gives a 4096\\^2 grid, above the cap"):
+        fl.spectral_upsample(f, 512)
+    assert fl.spectral_upsample(f, 8).spec.N == 64
+
+
 @pytest.mark.parametrize("n,N,L,algebra", [(2, 32, 12.0, "Cl2"), (3, 16, 10.0, "H"), (3, 16, 10.0, "Cl3")])
 def test_forward_inverse_roundtrip(n, N, L, algebra):
     spec = fl.GridSpec(n, N, L)

@@ -171,6 +171,10 @@ def test_cli_refuses_a_grid_above_the_cap():
     p = run_cli("verify", "--suite", "spectral", "--N", "4096")
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("error:") and "cap" in p.stderr and "Traceback" not in p.stderr
+    # a grid the user names may be refused through the 8x grid the Cauchy integral refines it to
+    p = run_cli("verify", "--suite", "plemelj", "--N", "512")
+    assert p.returncode == 2, p.stderr
+    assert "refining a 512^2 grid 8x" in p.stderr and "Traceback" not in p.stderr
 
 
 def test_cli_honest_failure_exits_one(tmp_path):

@@ -189,6 +189,12 @@ def test_cauchy_extension_matches_damped_projection():
         tr.cauchy_extend(f, -0.1)
 
 
+def test_cauchy_extend_refuses_a_refined_grid_above_the_cap():
+    f = fl.zero_field(fl.GridSpec(2, 512, 12.0), "Cl2")
+    with pytest.raises(ValueError, match="refining a 512\\^2 grid 8x"):
+        tr.cauchy_extend(f, 0.1)
+
+
 def _direct_image_sum(spec, x0, p, images):
     """The parts of conj(q)/|q|^p, q = (x + m L) - x0, summed image by image
     and point by point, skipping q = 0, plus the linear far-image tail."""
