@@ -177,9 +177,8 @@ def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: f
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(spec.shape + (a.dim,)) + 1j * rng.standard_normal(spec.shape + (a.dim,))
     ximax = spec.N / (2 * spec.L)
-    mask = spec.freq_magnitude() <= bandfraction * ximax
     mag = spec.freq_magnitude()
-    mask &= mag > 0  # zero mean
+    mask = (mag > 0) & (mag <= bandfraction * ximax)  # zero mean
     for ax in range(spec.n):
         sl = [slice(None)] * spec.n
         sl[ax] = 0
@@ -320,11 +319,11 @@ def read_field_binary(path) -> CliffordField:
         value_algebra = alg.VALUE_ALGEBRA_BY_DIM[(spec.n, M)]
     except KeyError:
         raise ValueError(f"no value algebra with {M} blades for n={spec.n}")
-    raw = np.frombuffer(body, dtype="<f8").reshape(npts, M, 2)
+    raw = np.frombuffer(body, dtype="<c16").reshape(spec.shape + (M,))
     if not np.all(np.isfinite(raw)):
         raise ValueError("CLF1 payload holds a non-finite value")
-    data = (raw[..., 0] + 1j * raw[..., 1]).reshape(spec.shape + (M,))
-    return CliffordField(spec, value_algebra, data)
+    # a copy in native order; arithmetic on the parts would turn a real -0.0 into +0.0
+    return CliffordField(spec, value_algebra, raw.astype(complex))
 
 
 def write_field_json(f, path) -> None:

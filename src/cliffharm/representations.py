@@ -20,7 +20,6 @@ import numpy as np
 from . import fields as fl
 from .algebra import (
     SPATIAL_DIM,
-    REFERENCE_AXIS_SLOT,
     get_algebra,
     geometric_product,
     pair_basis,
@@ -38,7 +37,7 @@ from .spin import (
 )
 from .transforms import (
     _parse_sign,
-    chi_multiplier_array,
+    _symbol,
     hardy_project,
     hilbert,
     hilbert_multiplier_at,
@@ -134,24 +133,16 @@ def spin_value_coefficients(s: SpinElement, value_algebra: str) -> np.ndarray:
     return s.coeffs
 
 
-def _chi_ref_coeffs(value_algebra: str, sign: int) -> np.ndarray:
-    a = get_algebra(value_algebra)
-    c = np.zeros(a.dim, dtype=complex)
-    c[0] = 0.5
-    c[REFERENCE_AXIS_SLOT[value_algebra]] = sign * 0.5j
-    return c
-
-
 def _chi_spatial_array(f: fl.CliffordField, sign: int, section=None) -> np.ndarray:
     """Pointwise half-space factor chi_sign(x/|x|) as a coefficient array.
 
     With a section, the factor is assembled as s_w chi_ref s_w^-1 at each
     point, which must agree with the direct form for any valid section."""
-    if section is None:
-        return chi_multiplier_array(f.spec, f.value_algebra, sign, grids=f.spec.coords())
     spec = f.spec
+    if section is None:
+        return _symbol(spec.coords(), f.value_algebra, 0.5, sign * 0.5j)
     a = f.algebra
-    ref = _chi_ref_coeffs(f.value_algebra, sign)
+    ref = _symbol(np.eye(spec.n)[-1][:, None], f.value_algebra, 0.5, sign * 0.5j)[0]  # chi_sign(e_n)
     pts = np.stack([c.ravel() for c in spec.coords()], axis=-1)
     out = np.zeros((pts.shape[0], a.dim), dtype=complex)
     for k in range(pts.shape[0]):
@@ -174,34 +165,23 @@ def _check_field_matches(info: SubspaceInfo, f) -> None:
         raise ValueError(f"subspace lives over n={info.n}, field has n={f.spec.n}")
 
 
-def _project_pointwise(f_data, value_algebra, pair, chi_arr):
-    a = get_algebra(value_algebra)
-    P = pair_projector(value_algebra, pair)
-    proj = np.einsum("ab,...b->...a", P, f_data)
-    return a.product(chi_arr, proj)
-
-
 def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.CliffordField:
     """Orthogonal projection onto the named subspace.
 
     Spatial ids compose the two-dimensional value-ideal projection with the
     pointwise-in-x factor chi_sign(x/|x|) (1/2 at the origin sample).
-    Fourier-side ids apply the same pointwise operator to the forward
+    Fourier-side ids compose it with the Hardy projection chi_sign(xi/|xi|);
+    the ideal projection is a constant value matrix, so it commutes with the
     transform.  HardyPlus/Minus work for any value algebra.
     """
     info = SUBSPACE_INFO[id]
     _check_field_matches(info, f)
-    if id in (SubspaceId.HardyPlus, SubspaceId.HardyMinus):
+    if info.pair is None:
         return hardy_project(info.sign, f)
-    if info.domain == "spatial":
-        chi_arr = _chi_spatial_array(f, info.sign, section)
-        data = _project_pointwise(f.data, f.value_algebra, info.pair, chi_arr)
-        return fl.CliffordField(f.spec, f.value_algebra, data, f.meta)
-    # Fourier-side: conjugate the pointwise operator by the transform
-    F = fl.spectral_forward(f)
-    chi_arr = chi_multiplier_array(f.spec, f.value_algebra, info.sign)
-    data = _project_pointwise(F.data, f.value_algebra, info.pair, chi_arr)
-    return fl.spectral_inverse(fl.SpectralField(f.spec, f.value_algebra, data, F.meta))
+    pf = f._like(np.einsum("ab,...b->...a", pair_projector(f.value_algebra, info.pair), f.data))
+    if info.domain == "fourier":
+        return hardy_project(info.sign, pf)
+    return pf._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), pf.data))
 
 
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField, section=None) -> float:
@@ -356,22 +336,13 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
         raise ValueError(f"unknown mode {mode!r}")
     F = fl.spectral_forward(f)
     occ, xi = fl.occupied_modes(F)
-    spec = f.spec
     A = rotation_matrix(g.s)
     eta = (xi @ A.T) / g.r
     c = F.data[tuple(occ.T)]
     sval = spin_value_coefficients(g.s, f.value_algebra)
     a = f.algebra
-
-    def symbol_rows(v):
-        mag = np.linalg.norm(v, axis=-1, keepdims=True)
-        u = np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 0.0)
-        out = np.zeros(v.shape[:-1] + (a.dim,), dtype=complex)
-        out[..., 1 : spec.n + 1] = 1j * u
-        return out
-
-    lhs = geometric_product(symbol_rows(eta), geometric_product(sval, c, a), a)
-    rhs = geometric_product(sval, geometric_product(symbol_rows(xi), c, a), a)
+    lhs = geometric_product(_symbol(eta.T, f.value_algebra, 0, 1j), geometric_product(sval, c, a), a)
+    rhs = geometric_product(sval, geometric_product(_symbol(xi.T, f.value_algebra, 0, 1j), c, a), a)
     num2 = float(np.sum(np.abs(lhs - rhs) ** 2))
     den2 = float(np.sum(np.abs(c) ** 2))
     return float(np.sqrt(num2 / den2))
@@ -406,13 +377,14 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
     if mode == "auto":
         mode = "grid" if fl.is_grid_preserving(rot, spec) else "modes"
     if mode == "grid":
-        unrot = GroupElement(1.0, s, np.zeros(spec.n))
+        unrotated = fl.resample_action(GroupElement(1.0, s, np.zeros(spec.n)), f)
+        R = [riesz(k, f).data for k in range(spec.n)]
         worst = 0.0
         for j in range(spec.n):
-            lhs = fl.resample_action(rot, riesz(j, fl.resample_action(unrot, f)))
+            lhs = fl.resample_action(rot, riesz(j, unrotated))
             acc = np.zeros_like(f.data)
             for k in range(spec.n):
-                acc = acc + A[j, k] * riesz(k, f).data
+                acc = acc + A[j, k] * R[k]
             worst = max(worst, float(np.linalg.norm(lhs.data - acc) / den))
         return worst
     if mode != "modes":
@@ -422,11 +394,10 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
     c = F.data[tuple(occ.T)]
     wc = np.sum(np.abs(c) ** 2, axis=-1)
     den2 = float(np.sum(wc))
-    mag = np.linalg.norm(xi, axis=-1)
-    u = np.where(mag[:, None] > 0, xi / np.where(mag[:, None] > 0, mag[:, None], 1.0), 0.0)
-    rotated = (xi @ A.T)
-    rmag = np.linalg.norm(rotated, axis=-1)
-    ru = np.where(rmag[:, None] > 0, rotated / np.where(rmag[:, None] > 0, rmag[:, None], 1.0), 0.0)
+    # m_j = i u_j for the unit direction u, the vector part of the symbol xi/|xi|;
+    # u is copied contiguous so that u @ A[j] runs through BLAS like a plain (modes, n) array
+    u = np.ascontiguousarray(_symbol(xi.T, f.value_algebra, 0, 1)[:, 1 : spec.n + 1].real)
+    ru = _symbol((xi @ A.T).T, f.value_algebra, 0, 1)[:, 1 : spec.n + 1].real
     worst = 0.0
     for j in range(spec.n):
         gap = ru[:, j] - u @ A[j]
@@ -479,7 +450,6 @@ class CommutantReport:
     restriction: str
     samples: int
     dimension: int
-    dimension_exact_only: int
     singular_values: np.ndarray
     gap_ratio: float
     under_sampled: bool
@@ -594,7 +564,6 @@ def commutant_dimension_experiment(
                 add_element(1.0, spin3_from_axis_angle(unit, theta))
     else:
         add_element(1.0, quarter_turn(None))
-    exact_rows = len(rows)
 
     rng = np.random.default_rng(seed)
     for k in range(samples):
@@ -610,17 +579,10 @@ def commutant_dimension_experiment(
             s = spin2_from_angle(float(rng.integers(4)) * pi / 4)
             add_element(float(rng.choice([0.5, 1.0, 2.0])), s)
 
-    def stacked(row_list):
-        R = np.concatenate(row_list, axis=0)
-        if R.shape[0] < ncols:
-            # zero rows keep the spectrum while completing the right factor
-            R = np.concatenate([R, np.zeros((ncols - R.shape[0], ncols), dtype=complex)], axis=0)
-        return R
-
-    sv_exact = np.linalg.svd(stacked(rows[:exact_rows]), compute_uv=False)
-    rank_exact = int(np.sum(sv_exact >= 1e-8 * sv_exact[0])) if sv_exact[0] > 0 else 0
-    dim_exact = ncols - rank_exact
-    R = stacked(rows)
+    R = np.concatenate(rows, axis=0)
+    if R.shape[0] < ncols:
+        # zero rows keep the spectrum while completing the right factor
+        R = np.concatenate([R, np.zeros((ncols - R.shape[0], ncols), dtype=complex)], axis=0)
     _, sv, Vh = np.linalg.svd(R, full_matrices=False)
     smax = sv[0]
     rank = int(np.sum(sv >= 1e-8 * smax))
@@ -665,7 +627,6 @@ def commutant_dimension_experiment(
         restriction=restriction,
         samples=samples,
         dimension=dimension,
-        dimension_exact_only=dim_exact,
         singular_values=sv,
         gap_ratio=gap_ratio,
         under_sampled=bool(under),

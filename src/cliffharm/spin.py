@@ -39,6 +39,8 @@ class SpinElement:
         alg = get_algebra(_TABLE_FOR_N[self.n])
         if c.shape != (alg.dim,):
             raise ValueError(f"rotor needs {alg.dim} coefficients for n={self.n}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("rotor coefficients must be finite")
         odd = [k for k in range(alg.dim) if k not in _EVEN_SLOTS[self.n]]
         if coeff_norm(c[odd]) > 1e-12:
             raise ValueError("rotor must be even-grade")

@@ -363,9 +363,7 @@ def run_plemelj(cfg: SuiteConfig):
     data = np.zeros(spec.shape + (4,), dtype=complex)
     data[..., 0] = np.exp(-pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
     f = fl.CliffordField(spec, "Cl2", data)
-    F = fl.spectral_forward(f)
-    chi = tr.chi_multiplier_array(spec, "Cl2", 1)
-    limit_target = fl.spectral_inverse(fl.apply_multiplier_array(chi, F))
+    limit_target = tr.hardy_project(1, f)
     fnorm = fl.norm(f)
 
     heights = (0.4, 0.2, 0.1)
@@ -373,9 +371,7 @@ def run_plemelj(cfg: SuiteConfig):
     rows = []
     for x0 in heights:
         C = tr.cauchy_extend(f, x0)
-        damp = np.exp(-2 * pi * x0 * spec.freq_magnitude())
-        damped = fl.SpectralField(spec, "Cl2", F.data * damp[..., None], F.meta)
-        quad_target = fl.spectral_inverse(fl.apply_multiplier_array(chi, damped))
+        quad_target = tr.hardy_project(1, tr.poisson_extend(f, x0))
         qres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - quad_target.data)) / fnorm
         out.append(_case(cfg, "plemelj", f"cauchy_quadrature_x0_{x0}", qres, 5e-4))
         lres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - limit_target.data)) / fnorm

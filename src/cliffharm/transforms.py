@@ -19,42 +19,43 @@ from . import fields as fl
 from .algebra import get_algebra, vector_embed
 
 
-def _unit_direction(grids):
+def _unit_direction(points):
     """Component arrays x_j/|x| with the origin mapped to 0."""
-    mag = np.sqrt(sum(g * g for g in grids))
+    mag = np.sqrt(sum(g * g for g in points))
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g in grids:
+        for g in points:
             u = g / mag
             u[~np.isfinite(u)] = 0.0
             out.append(u)
-    return out, mag
+    return out
+
+
+def _symbol(points, value_algebra: str, scalar, vector) -> np.ndarray:
+    """Coefficients of scalar + vector x/|x| at points given by their n
+    component arrays (a grid, or the columns of a list of modes): the vector
+    part sits in slots 1..n, and x/|x| is 0 at the origin."""
+    U = _unit_direction(points)
+    del points  # grids built for this call are freed before M is allocated
+    M = np.zeros(U[0].shape + (get_algebra(value_algebra).dim,), dtype=complex)
+    M[..., 0] = scalar
+    for j, u in enumerate(U):
+        M[..., j + 1] = vector * u
+    return M
 
 
 def riesz_symbol_array(spec: fl.GridSpec, j: int) -> np.ndarray:
-    U, _ = _unit_direction(spec.freqs())
-    return 1j * U[j]
+    return 1j * _unit_direction(spec.freqs())[j]
 
 
 def hilbert_multiplier_array(spec: fl.GridSpec, value_algebra: str) -> np.ndarray:
-    a = get_algebra(value_algebra)
-    U, _ = _unit_direction(spec.freqs())
-    M = np.zeros(spec.shape + (a.dim,), dtype=complex)
-    for j in range(spec.n):
-        M[..., j + 1] = 1j * U[j]
-    return M
+    return _symbol(spec.freqs(), value_algebra, 0, 1j)
 
 
-def chi_multiplier_array(spec: fl.GridSpec, value_algebra: str, sign: int, grids=None) -> np.ndarray:
-    """Coefficients of chi_sign evaluated on the given grids (frequency by
-    default); the origin gets the scalar value 1/2."""
-    a = get_algebra(value_algebra)
-    U, _ = _unit_direction(spec.freqs() if grids is None else grids)
-    M = np.zeros(spec.shape + (a.dim,), dtype=complex)
-    M[..., 0] = 0.5
-    for j in range(spec.n):
-        M[..., j + 1] = sign * 0.5j * U[j]
-    return M
+def chi_multiplier_array(spec: fl.GridSpec, value_algebra: str, sign: int) -> np.ndarray:
+    """Coefficients of chi_sign on the frequency grid; the origin gets the
+    scalar value 1/2."""
+    return _symbol(spec.freqs(), value_algebra, 0.5, sign * 0.5j)
 
 
 def _parse_sign(sign) -> int:
@@ -70,10 +71,9 @@ def hilbert_multiplier_at(xi, value_algebra: str | None = None) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if value_algebra is None:
         value_algebra = "Cl3" if xi.shape[0] == 3 else "Cl2"
-    mag = float(np.linalg.norm(xi))
-    if mag == 0:
+    if np.linalg.norm(xi) == 0:
         raise ZeroDivisionError("the Hilbert symbol has no value at xi = 0")
-    return 1j * vector_embed(xi / mag, value_algebra, xi.shape[0])
+    return _symbol(xi[:, None], value_algebra, 0, 1j)[0]
 
 
 def riesz(j: int, f: fl.CliffordField) -> fl.CliffordField:

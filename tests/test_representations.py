@@ -132,6 +132,18 @@ def test_induced_rep_preserves_membership(id):
         assert rp.subspace_membership_residual(id, out) < 1e-10
 
 
+@pytest.mark.parametrize("id", rp.QHARDY_IDS, ids=lambda s: s.value)
+def test_qhardy_projection_matches_the_fourier_side_formula(id):
+    spec = fl.GridSpec(3, 16, 10.0)
+    f = fl.make_band_limited_random(spec, "H", 0.5, 8)
+    info = rp.SUBSPACE_INFO[id]
+    F = fl.spectral_forward(f)
+    chi = tr.chi_multiplier_array(spec, "H", info.sign)
+    proj = np.einsum("ab,...b->...a", alg.pair_projector("H", info.pair), F.data)
+    want = fl.spectral_inverse(fl.SpectralField(spec, "H", f.algebra.product(chi, proj)))
+    assert fl.rel_error(rp.subspace_project(id, f), want) < 1e-14
+
+
 def test_natural_rep_preserves_qhardy_with_off_grid_shift():
     spec = fl.GridSpec(3, 16, 10.0)
     member = rp.random_subspace_member(rp.SubspaceId.QHardy2Minus, spec, 11)

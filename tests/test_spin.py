@@ -140,6 +140,14 @@ def test_rotor_validation():
             sp.GroupElement(1.0, sp.identity_spin(2), np.array([0.3, bad]))
 
 
+def test_rotor_refuses_non_finite_coefficients():
+    for bad in (float("nan"), float("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(ValueError, match="rotor coefficients must be finite"):
+            sp.SpinElement(2, np.array([bad, 0, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match="rotor coefficients must be finite"):
+        sp.parse_group_element("1.0|4;0:nan,0.0|0.5,0.0")
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_serialization_roundtrip_is_exact(n):
     rng = np.random.default_rng(41)

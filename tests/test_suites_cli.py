@@ -315,6 +315,16 @@ def test_cli_transform_refuses_non_finite_parameters(op, sample_field, tmp_path)
     assert not out.exists()
 
 
+def test_cli_transform_names_a_nan_rotor(sample_field, tmp_path):
+    _, path = sample_field
+    out = tmp_path / "out.clf"
+    res = run_cli("transform", "natrep:1.0|8;0:nan,0.0|0.0,0.0,0.0", path, out)
+    assert res.returncode == 2, res.stderr
+    assert "rotor coefficients must be finite" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_cli_verify_refuses_grid_with_empty_band():
     res = run_cli("verify", "--suite", "representation", "--N", "8")
     assert res.returncode == 2, res.stderr

@@ -49,6 +49,21 @@ def test_pointwise_symbol_matches_array():
         tr.hilbert_multiplier_at(np.zeros(3))
 
 
+@pytest.mark.parametrize("n,N,value_algebra", [(2, 32, "Cl2"), (3, 16, "H"), (3, 16, "Cl3")])
+def test_symbol_on_listed_modes_equals_the_grid_arrays(n, N, value_algebra):
+    spec = fl.GridSpec(n, N, 10.0)
+    occ, xi = fl.occupied_modes(fl.spectral_forward(fl.make_band_limited_random(spec, value_algebra, 0.5, 4)))
+    origin = np.full((1, n), N // 2)
+    occ, xi = np.concatenate([occ, origin]), np.concatenate([xi, np.zeros((1, n))])
+    bins = tuple(occ.T)
+    H = tr.hilbert_multiplier_array(spec, value_algebra)
+    assert np.array_equal(tr._symbol(xi.T, value_algebra, 0, 1j), H[bins])
+    for sign in (1, -1):
+        chi = tr.chi_multiplier_array(spec, value_algebra, sign)
+        assert np.array_equal(tr._symbol(xi.T, value_algebra, 0.5, sign * 0.5j), chi[bins])
+    assert np.array_equal(tr._symbol(xi.T, value_algebra, 0, 1j)[-1], np.zeros(H.shape[-1]))
+
+
 def test_chi_arrays_halve_the_origin():
     spec = fl.GridSpec(3, 8, 8.0)
     P = tr.chi_multiplier_array(spec, "Cl3", +1)
