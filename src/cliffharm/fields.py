@@ -108,8 +108,9 @@ def zero_field(spec, value_algebra) -> CliffordField:
 def spectral_forward(f: CliffordField) -> SpectralField:
     spec = f.spec
     axes = tuple(range(spec.n))
+    # the transform runs in place in the shifted copy: one field-sized temporary
     shifted = np.fft.ifftshift(f.data, axes=axes)
-    out = np.fft.fftshift(np.fft.fftn(shifted, axes=axes), axes=axes)
+    out = np.fft.fftshift(np.fft.fftn(shifted, axes=axes, out=shifted), axes=axes)
     out *= (spec.L / spec.N) ** spec.n
     return SpectralField(spec, f.value_algebra, out, f.meta)
 
@@ -118,7 +119,7 @@ def spectral_inverse(F: SpectralField) -> CliffordField:
     spec = F.spec
     axes = tuple(range(spec.n))
     shifted = np.fft.ifftshift(F.data, axes=axes)
-    out = np.fft.fftshift(np.fft.ifftn(shifted, axes=axes), axes=axes)
+    out = np.fft.fftshift(np.fft.ifftn(shifted, axes=axes, out=shifted), axes=axes)
     out *= (spec.N / spec.L) ** spec.n
     return CliffordField(spec, F.value_algebra, out, F.meta)
 
@@ -175,7 +176,14 @@ def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: f
         raise ValueError("bandfraction must lie in (0, 1]")
     a = alg.get_algebra(value_algebra)
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal(spec.shape + (a.dim,)) + 1j * rng.standard_normal(spec.shape + (a.dim,))
+    # the same draws as standard_normal(shape) for the real parts, then the
+    # imaginary parts, taken a slab at a time: a real temporary half the
+    # field's size, freed, would raise glibc's mmap threshold and leave the
+    # caller's later arrays of up to that size in the heap
+    data = np.empty(spec.shape + (a.dim,), dtype=complex)
+    for part in (data.real, data.imag):
+        for slab in part:
+            slab[...] = rng.standard_normal(slab.shape)
     ximax = spec.N / (2 * spec.L)
     mag = spec.freq_magnitude()
     mask = (mag > 0) & (mag <= bandfraction * ximax)  # zero mean

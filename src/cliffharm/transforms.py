@@ -90,6 +90,7 @@ def hilbert(f: fl.CliffordField, route: str = "multiplier") -> fl.CliffordField:
     if route == "multiplier":
         F = fl.spectral_forward(f)
         out = fl.apply_multiplier_array(hilbert_multiplier_array(f.spec, f.value_algebra), F)
+        del F  # freed before the inverse transform allocates
         return fl.spectral_inverse(out)
     if route == "riesz_sum":
         acc = fl.zero_field(f.spec, f.value_algebra)
@@ -106,6 +107,7 @@ def hardy_project(sign, f: fl.CliffordField) -> fl.CliffordField:
     s = _parse_sign(sign)
     F = fl.spectral_forward(f)
     out = fl.apply_multiplier_array(chi_multiplier_array(f.spec, f.value_algebra, s), F)
+    del F  # freed before the inverse transform allocates
     return fl.spectral_inverse(out)
 
 
