@@ -149,8 +149,9 @@ def rel_error(a, b) -> float:
 
 
 def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:
-    """Left geometric product by a multiplier coefficient array, bin by bin."""
-    return F._like(F.algebra.product(M, F.data))
+    """Left geometric product by a multiplier coefficient array, bin by bin,
+    through the blade loop that skips the symbol's zero blades."""
+    return F._like(F.algebra.symbol_product(M, F.data))
 
 
 def left_multiply_constant(c: np.ndarray, f):
@@ -308,28 +309,34 @@ def write_field_binary(f, path) -> None:
         fh.write(inter.tobytes())
 
 
+class FieldFormatError(ValueError):
+    """A field file that is not a well-formed CLF1 document.  A well-formed
+    header whose grid or value algebra GridSpec or CliffordField refuses
+    raises their plain ValueError."""
+
+
 def read_field_binary(path) -> CliffordField:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}; expected {MAGIC!r}")
+            raise FieldFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
         header = fh.read(16)
         if len(header) != 16:
-            raise ValueError("CLF1 header is truncated")
+            raise FieldFormatError("CLF1 header is truncated")
         n, N, L = struct.unpack("<IId", header)
         body = fh.read()
     spec = GridSpec(int(n), int(N), float(L))
     npts = spec.N ** spec.n
     if len(body) % (16 * npts):
-        raise ValueError("field payload length does not divide the grid size")
+        raise FieldFormatError("field payload length does not divide the grid size")
     M = len(body) // (16 * npts)
     try:
         value_algebra = alg.VALUE_ALGEBRA_BY_DIM[(spec.n, M)]
     except KeyError:
-        raise ValueError(f"no value algebra with {M} blades for n={spec.n}")
+        raise FieldFormatError(f"no value algebra with {M} blades for n={spec.n}")
     raw = np.frombuffer(body, dtype="<c16").reshape(spec.shape + (M,))
     if not np.all(np.isfinite(raw)):
-        raise ValueError("CLF1 payload holds a non-finite value")
+        raise FieldFormatError("CLF1 payload holds a non-finite value")
     # a copy in native order; arithmetic on the parts would turn a real -0.0 into +0.0
     return CliffordField(spec, value_algebra, raw.astype(complex))
 
@@ -350,22 +357,34 @@ def write_field_json(f, path) -> None:
 
 
 def read_field_json(path) -> CliffordField:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "CLF1":
-        raise ValueError("not a CLF1 json document")
     try:
-        n, N, L = doc["n"], doc["N"], doc["L"]
-        if not (type(n) is type(N) is int and type(L) in (int, float)):  # not bool, not 2.5
-            raise ValueError(f"CLF1 json needs integers n and N and a number L, got {n!r}, {N!r}, {L!r}")
-        spec = GridSpec(n, N, float(L))
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as err:  # not JSON, or not UTF-8 text
+        raise FieldFormatError(f"not a JSON document: {err}") from err
+    if not isinstance(doc, dict) or doc.get("format") != "CLF1":
+        raise FieldFormatError("not a CLF1 json document")
+    try:
+        n, N, L, rows = doc["n"], doc["N"], doc["L"], doc["values"]
         value_algebra = doc["value_algebra"]
         a = alg.get_algebra(value_algebra)
-        flat = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
-    except (KeyError, TypeError, OverflowError) as err:
-        raise ValueError(f"malformed CLF1 json document: {err!r}") from err
+        # JSON numbers only: not a bool (an int in Python), not 2.5 for n or N, not a string
+        if not (type(n) is type(N) is int and type(L) in (int, float)):
+            raise FieldFormatError(f"CLF1 json needs integers n and N and a number L, got {n!r}, {N!r}, {L!r}")
+        if not {type(x) for row in rows for pair in row for x in pair} <= {int, float}:
+            raise FieldFormatError("CLF1 json values must be [re, im] pairs of JSON numbers")
+        flat = np.array([[complex(re, im) for re, im in row] for row in rows])
+        L = float(L)
+    except FieldFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise FieldFormatError(f"malformed CLF1 json document: {err!r}") from err
+    spec = GridSpec(n, N, L)
+    if flat.shape != (spec.N**spec.n, a.dim):
+        raise FieldFormatError(f"CLF1 json values have shape {flat.shape}; a {spec.N}^{spec.n} "
+                               f"{value_algebra} field needs ({spec.N**spec.n}, {a.dim})")
     if not np.all(np.isfinite(flat)):
-        raise ValueError("CLF1 json values hold a non-finite value")
+        raise FieldFormatError("CLF1 json values hold a non-finite value")
     return CliffordField(spec, value_algebra, flat.reshape(spec.shape + (a.dim,)))
 
 

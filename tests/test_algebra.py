@@ -122,7 +122,8 @@ def test_product_memory_stays_near_its_output():
 
 def test_structure_tensor_is_read_only_in_algebra():
     """Only algebra.py knows the blade-table layout; every other module
-    multiplies values through Algebra.product or geometric_product."""
+    multiplies values through Algebra.product, Algebra.symbol_product or
+    geometric_product."""
     offenders = []
     for path in sorted(Path(alg.__file__).parent.glob("*.py")):
         if path.name == "algebra.py":

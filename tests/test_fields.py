@@ -8,6 +8,7 @@ import pytest
 from cliffharm import algebra as alg
 from cliffharm import fields as fl
 from cliffharm import spin as sp
+from cliffharm import transforms as tr
 
 
 def test_grid_spec_validation():
@@ -78,6 +79,21 @@ def test_spectral_transforms_hold_few_field_sized_arrays():
         tracemalloc.stop()
     # the shifted copy, transformed in place, and the re-centred output
     assert forward_peak < 2.1 * size
+
+
+def test_multiplier_memory_stays_near_its_output():
+    """The symbol path permutes the spectrum one block at a time: no dim^2
+    gather (8x the output on Cl3), and no whole-field temporary."""
+    spec = fl.GridSpec(3, 32, 10.0)
+    F = fl.spectral_forward(fl.make_band_limited_random(spec, "Cl3", 0.4, 9))
+    for M in (tr.hilbert_multiplier_array(spec, "Cl3"), tr.chi_multiplier_array(spec, "Cl3", 1)):
+        tracemalloc.start()
+        try:
+            out = fl.apply_multiplier_array(M, F)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.data.nbytes, (peak, out.data.nbytes)
 
 
 def test_plane_wave_lands_in_one_bin():
@@ -189,6 +205,45 @@ def test_read_rejects_other_files(tmp_path):
         p = tmp_path / name
         p.write_bytes(content)
         with pytest.raises(ValueError, match=messages.get(name)):
+            fl.read_field(p)
+
+
+def _json_field(**changes):
+    doc = {"format": "CLF1", "n": 2, "N": 8, "L": 1.0, "value_algebra": "Cl2", "values": [[[1.0, 0.0]] * 4] * 64}
+    return json.dumps(dict(doc, **changes)).encode()
+
+
+def test_reader_refusals_are_field_format_errors(tmp_path):
+    header = fl.MAGIC + struct.pack("<IId", 2, 8, 1.0)
+    cases = {
+        "junk.clf": b"not a field at all",
+        "short_header.clf": fl.MAGIC + b"\x02\x00\x00\x00\x10\x00",
+        "ragged_payload.clf": header + bytes(16 * 64 * 4 + 8),
+        "five_blades.clf": header + bytes(16 * 64 * 5),
+        "nan_value.clf": header + np.full(64 * 4 * 2, np.nan).tobytes(),
+        "not_json.json": b"{",
+        "not_utf8.json": b"\xff\xfe",
+        "not_an_object.json": b"[1]",
+        "no_values.json": b'{"format": "CLF1", "n": 2, "N": 8, "L": 1.0, "value_algebra": "Cl2"}',
+        "bad_rows.json": _json_field(values=[[1, 2]]),
+        "three_part_value.json": _json_field(values=[[[1.0, 0.0, 0.0]] * 4] * 64),
+        "ragged_rows.json": _json_field(values=[[[1.0, 0.0]] * 4] * 63 + [[[1.0, 0.0]] * 3]),
+        "too_few_rows.json": _json_field(values=[[[1.0, 0.0]] * 4] * 63),
+        "string_value.json": _json_field(values=[[["1.0", 0.0]] * 4] * 64),
+        "bool_values.json": _json_field(values=[[[True, False]] * 4] * 64),
+        "one_bool_value.json": _json_field(values=[[[1.0, 0.0]] * 4] * 63 + [[[1.0, 0.0]] * 3 + [[0.5, True]]]),
+        "huge_value.json": _json_field(values=[[[10**400, 0]] * 4] * 64),
+        "inf_value.json": _json_field(values=[[[float("inf"), 0.0]] * 4] * 64),
+        "bool_n.json": _json_field(n=True),
+        "fractional_N.json": _json_field(N=8.5),
+        "string_L.json": _json_field(L="1.0"),
+        "huge_L.json": _json_field(L=10**400),
+        "unknown_algebra.json": _json_field(value_algebra="Cl7"),
+    }
+    for name, content in cases.items():
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(fl.FieldFormatError):
             fl.read_field(p)
 
 

@@ -1,5 +1,6 @@
 """Property tests: text forms of multivectors and group elements, the group
-law, and the two field file formats."""
+law, the two field file formats, and the symbol product against the general
+product kernel and the symbolic oracle."""
 
 import os
 import re
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from cliffharm import algebra as alg
 from cliffharm import fields as fl
 from cliffharm import spin as sp
+
+import symbolic_oracle as oracle
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -108,3 +111,49 @@ def test_field_files_round_trip_bit_exactly(grid, L, seed, kind):
         back = fl.read_field(path)
     assert (back.spec, back.value_algebra) == (spec, value_algebra)
     assert back.data.tobytes() == f.data.tobytes()
+
+
+# point counts around the symbol product's block: below, at, above and not a multiple
+BLOCK = alg._SYMBOL_BLOCK
+POINT_COUNTS = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 37]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.sampled_from([("Cl2", 2, 2), ("H", 2, 3), ("Cl3", 3, 3)]),
+    st.sampled_from(POINT_COUNTS),
+    st.data(),
+)
+def test_symbol_product_matches_the_product_kernel_and_the_oracle(algebra, points, data):
+    name, gens, n = algebra
+    a = alg.get_algebra(name)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # each blade of m is zero everywhere, live on one random run of points, or live everywhere
+    live = np.zeros((points, a.dim), dtype=bool)
+    for i, kind in enumerate(data.draw(st.lists(st.sampled_from(["zero", "run", "all"]), min_size=a.dim,
+                                                max_size=a.dim))):
+        lo, hi = sorted(rng.integers(0, points + 1, size=2))
+        live[:, i] = kind == "all"
+        live[lo:hi, i] |= kind == "run"
+    b = rand(points, a.dim)
+
+    symbol = np.zeros((points, a.dim), dtype=complex)
+    symbol[:, 0] = rng.standard_normal(points)
+    symbol[:, 1 : n + 1] = 1j * rng.standard_normal((points, n))
+    symbol *= live
+    general = rand(points, a.dim) * live
+
+    got = a.symbol_product(symbol, b)
+    assert np.array_equal(got, a.product(symbol, b))
+    got_general, want_general = a.symbol_product(general, b), a.product(general, b)
+    assert alg.coeff_norm(got_general - want_general) <= 1e-15 * alg.coeff_norm(want_general)
+
+    for m, result in ((symbol, got), (general, got_general), (general, want_general)):
+        for p in rng.choice(points, size=min(points, 8), replace=False):
+            want = oracle.mv_to_coeffs(oracle.mv_mul(oracle.mv_from_coeffs(m[p], gens),
+                                                     oracle.mv_from_coeffs(b[p], gens)), gens)
+            assert alg.coeff_norm(result[p] - np.array(want)) <= 1e-12 * max(alg.coeff_norm(want), 1.0)

@@ -292,6 +292,17 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
         assert "Traceback" not in res.stderr, name
 
 
+def test_cli_transform_refuses_boolean_field_values(tmp_path):
+    doc = {"format": "CLF1", "n": 2, "N": 8, "L": 1.0, "value_algebra": "Cl2", "values": [[[True, False]] * 4] * 64}
+    bad, out = tmp_path / "bools.json", tmp_path / "out.clf"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("transform", "hilbert", bad, out)
+    assert res.returncode == 2, res.stderr
+    assert "pairs of JSON numbers" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_cli_transform_refuses_non_finite_box_length(tmp_path):
     bad = tmp_path / "nan_length.clf"
     bad.write_bytes(fl.MAGIC + struct.pack("<IId", 2, 8, float("nan")) + bytes(16 * 8 * 8 * 4))

@@ -147,6 +147,22 @@ def test_hardy_projections_split_and_are_eigenspaces(value_algebra, n, N, L):
     assert fl.rel_error(Hm, neg) < 1e-12
 
 
+@pytest.mark.parametrize("value_algebra,n,N", [("Cl2", 2, 64), ("H", 3, 16), ("Cl3", 3, 16)])
+def test_symbol_path_equals_the_general_product_bit_for_bit(value_algebra, n, N):
+    """hilbert and hardy_project multiply through Algebra.symbol_product; on
+    the symbols each term is one rounded product, so the operators equal
+    spectral_inverse(F._like(alg.product(M, F.data))) exactly."""
+    spec = fl.GridSpec(n, N, 10.0)
+    f = fl.make_band_limited_random(spec, value_algebra, 0.4, 29)
+    a = alg.get_algebra(value_algebra)
+    F = fl.spectral_forward(f)
+    cases = [(tr.hilbert(f), tr.hilbert_multiplier_array(spec, value_algebra))]
+    cases += [(tr.hardy_project(s, f), tr.chi_multiplier_array(spec, value_algebra, s)) for s in (1, -1)]
+    for got, M in cases:
+        want = fl.spectral_inverse(F._like(a.product(M, F.data)))
+        assert np.array_equal(got.data, want.data)
+
+
 def test_hardy_projection_of_a_plane_wave():
     spec = fl.GridSpec(2, 16, 8.0)
     X = spec.coords()
