@@ -24,6 +24,25 @@ from . import suites as su
 from . import transforms as tr
 from ._version import __version__
 
+# the verify options: each is a flag, a config-file key and a SuiteConfig field
+OPTIONS = {
+    "suite": (str, "suite name or 'all' (default all)"),
+    "n": (int, "restrict to dimension 2 or 3"),
+    "N": (int, "grid points per axis (power of two)"),
+    "L": (float, "period length"),
+    "seed": (int, "random seed"),
+    "mode": (str, "exact | spectral (representation checks)"),
+    "out": (str, "write JSON-lines report here"),
+    "parallel": (int, "run suites concurrently"),
+}
+
+
+def _cast(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError as err:
+        raise su.UsageError(f"{what}: expected {kind.__name__}, got {text!r}") from err
+
 
 def _read_config_file(path):
     """Flat key=value lines; '#' starts a comment; tol.<case>=v loosens one case."""
@@ -36,69 +55,39 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise su.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
             if key.startswith("tol."):
                 tols[key[4:]] = val
-            else:
+            elif key in OPTIONS:
                 opts[key] = val
+            else:
+                raise su.UsageError(
+                    f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(OPTIONS)} or tol.<case>"
+                )
     return opts, tols
 
 
 def _build_config(args, suite_override=None) -> su.SuiteConfig:
-    file_opts, file_tols = ({}, {})
-    if getattr(args, "config", None):
-        file_opts, file_tols = _read_config_file(args.config)
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_opts:
-            try:
-                return cast(file_opts[key])
-            except ValueError as err:
-                raise su.UsageError(f"bad config value for {key}: {file_opts[key]!r}") from err
-        return default
-
-    seed = pick(getattr(args, "seed", None), "seed", int, None)
-    if seed is None:
-        env = os.environ.get("CLIFFORD_HILBERT_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as err:
-                raise su.UsageError(f"CLIFFORD_HILBERT_SEED must be an integer, got {env!r}") from err
-    if seed is None:
-        seed = su.DEFAULT_SEED
-
-    tols = {}
-    for k, v in file_tols.items():
-        try:
-            tols[k] = float(v)
-        except ValueError as err:
-            raise su.UsageError(f"bad tolerance for {k}: {v!r}") from err
-    for item in getattr(args, "tol", None) or []:
+    """Each option from its flag, else the config file, else (seed only)
+    CLIFFORD_HILBERT_SEED, else the SuiteConfig default."""
+    file_opts, tols = _read_config_file(args.config) if args.config else ({}, {})
+    env = {"seed": os.environ.get("CLIFFORD_HILBERT_SEED")}
+    values = {}
+    for name, (kind, _) in OPTIONS.items():
+        for source, what in ((vars(args), f"--{name}"), (file_opts, f"{name} in {args.config}"),
+                             (env, "CLIFFORD_HILBERT_SEED")):
+            if source.get(name) is not None:
+                values[name] = _cast(kind, source[name], what)
+                break
+    if suite_override:
+        values["suite"] = suite_override
+    for item in args.tol or []:
         if "=" not in item:
             raise su.UsageError(f"--tol expects CASE=VALUE, got {item!r}")
-        k, _, v = item.partition("=")
-        try:
-            tols[k.strip()] = float(v)
-        except ValueError as err:
-            raise su.UsageError(f"bad tolerance for {k}: {v!r}") from err
-
-    suite = suite_override or pick(getattr(args, "suite", None), "suite", str, "all")
-    return su.SuiteConfig(
-        suite=suite,
-        n=pick(getattr(args, "n", None), "n", int, None),
-        N=pick(getattr(args, "N", None), "N", int, None),
-        L=pick(getattr(args, "L", None), "L", float, None),
-        seed=seed,
-        mode=pick(getattr(args, "mode", None), "mode", str, None),
-        tol_overrides=tols,
-        parallel=pick(getattr(args, "parallel", None), "parallel", int, 1),
-        out=pick(getattr(args, "out", None), "out", str, None),
-    )
+        case, _, text = item.partition("=")
+        tols[case.strip()] = text
+    tols = {case: _cast(float, text, f"tolerance for {case}") for case, text in tols.items()}
+    return su.SuiteConfig(**values, tol_overrides=tols)
 
 
 def _run_verify(args, suite_override=None) -> int:
@@ -113,7 +102,7 @@ def _run_verify(args, suite_override=None) -> int:
     print(f"{len(results) - failed}/{len(results)} cases passed")
     if cfg.out:
         su.write_report(cfg.out, results, cfg.seed)
-    if getattr(args, "emit_plots", None):
+    if args.emit_plots:
         os.makedirs(args.emit_plots, exist_ok=True)
         for path in su.emit_plots(args.emit_plots, results, extras):
             print(f"wrote {path}")
@@ -122,24 +111,20 @@ def _run_verify(args, suite_override=None) -> int:
 
 def _parse_op(opspec: str):
     """Operator spec, split on the first ':' into head and argument."""
-    head, _, rest = opspec.partition(":")
+    head, sep, rest = opspec.partition(":")
     if head == "hilbert":
+        if sep:
+            raise su.UsageError(f"hilbert takes no argument, got {opspec!r}")
         return tr.hilbert
     if head == "riesz":
-        try:
-            j = int(rest)
-        except ValueError as err:
-            raise su.UsageError(f"riesz needs an integer axis, got {rest!r}") from err
+        j = _cast(int, rest, "riesz axis")
         return lambda f: tr.riesz(j, f)
     if head == "chi":
         if rest not in ("+", "-"):
             raise su.UsageError(f"chi needs + or -, got {rest!r}")
         return lambda f: tr.hardy_project(rest, f)
     if head in ("poisson", "cauchy"):
-        try:
-            x0 = float(rest)
-        except ValueError as err:
-            raise su.UsageError(f"{head} needs a height x0, got {rest!r}") from err
+        x0 = _cast(float, rest, f"{head} height x0")
         if head == "poisson":
             return lambda f: tr.poisson_extend(f, x0)
         return lambda f: tr.cauchy_extend(f, x0)
@@ -189,18 +174,12 @@ def _run_info() -> int:
 
 
 def _add_common(q, with_suite: bool) -> None:
-    if with_suite:
-        q.add_argument("--suite", default=None, help="suite name or 'all' (default all)")
-    q.add_argument("--n", type=int, default=None, help="restrict to dimension 2 or 3")
-    q.add_argument("--N", type=int, default=None, help="grid points per axis (power of two)")
-    q.add_argument("--L", type=float, default=None, help="period length")
-    q.add_argument("--seed", type=int, default=None, help="random seed")
-    q.add_argument("--mode", default=None, help="exact | spectral (representation checks)")
-    q.add_argument("--out", default=None, help="write JSON-lines report here")
+    for name, (_, text) in OPTIONS.items():
+        if with_suite or name != "suite":
+            q.add_argument(f"--{name}", default=None, help=text)
     q.add_argument("--config", default=None, help="flat key=value config file")
     q.add_argument("--tol", action="append", default=None, metavar="CASE=VALUE",
                    help="loosen one case tolerance (repeatable)")
-    q.add_argument("--parallel", type=int, default=None, help="run suites concurrently")
     q.add_argument("--emit-plots", dest="emit_plots", default=None, metavar="DIR",
                    help="write CSV companions for plotting")
 

@@ -112,7 +112,8 @@ def is_strict_identity(g: GroupElement) -> bool:
 def _sandwich(s: SpinElement, x: np.ndarray) -> np.ndarray:
     alg = s.algebra
     xe = vector_embed(np.asarray(x, dtype=float), alg, s.n)
-    out = geometric_product(geometric_product(s.coeffs, xe, alg), s.inverse().coeffs, alg)
+    # s^-1 of a unit even rotor is its Clifford conjugate
+    out = geometric_product(geometric_product(s.coeffs, xe, alg), clifford_conjugate(s.coeffs, alg), alg)
     rest = out.copy()
     rest[..., 1 : s.n + 1] = 0
     if coeff_norm(rest) > 1e-12 * (1.0 + coeff_norm(out)):
@@ -174,7 +175,7 @@ def _unit_scalar(dim: int) -> np.ndarray:
 
 def rotation_matrix(s: SpinElement) -> np.ndarray:
     """Columns are the images of the coordinate axes under x -> s x s^-1."""
-    return np.column_stack([_sandwich(s, row) for row in np.eye(s.n)])
+    return np.ascontiguousarray(_sandwich(s, np.eye(s.n)).T)
 
 
 def section_s_omega(omega) -> SpinElement:

@@ -27,18 +27,6 @@ from . import transforms as tr
 
 DEFAULT_SEED = 2024
 
-SUITE_NAMES = (
-    "algebra",
-    "spin",
-    "spectral",
-    "hilbert",
-    "plemelj",
-    "subspaces",
-    "representation",
-    "intertwiners",
-    "commutant",
-)
-
 
 class UsageError(ValueError):
     """Configuration problems that map to exit code 2."""
@@ -74,6 +62,10 @@ class SuiteConfig:
             raise UsageError(f"N must be a power of two >= 8, got {self.N}")
         if self.n is not None and self.n not in (2, 3):
             raise UsageError(f"n must be 2 or 3, got {self.n}")
+        if self.L is not None and not (isfinite(self.L) and self.L > 0):
+            raise UsageError(f"L must be positive and finite, got {self.L}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be at least 0, got {self.seed}")
         if self.mode is not None and self.mode not in ("exact", "spectral"):
             raise UsageError(f"mode must be exact or spectral, got {self.mode!r}")
         if self.parallel < 1:
@@ -100,6 +92,11 @@ def _case(cfg: SuiteConfig, suite: str, name: str, residual, default_tol: float)
     tol = cfg.tolerance(name, default_tol)
     residual = float(residual)
     return CaseResult(suite, name, residual, tol, residual <= tol)
+
+
+def _grid(cfg: SuiteConfig, n: int, N: int, L: float) -> fl.GridSpec:
+    """The suite's default grid, with --N and --L applied."""
+    return fl.GridSpec(n, cfg.N or N, cfg.L or L)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +239,6 @@ def run_spin(cfg: SuiteConfig):
 # ---------------------------------------------------------------------------
 # spectral
 
-def _grid(cfg: SuiteConfig, n: int, N: int, L: float) -> fl.GridSpec:
-    return fl.GridSpec(n, cfg.N or N, cfg.L or L)
-
-
 def run_spectral(cfg: SuiteConfig):
     out = []
     for n, N, L, algebra in ((2, 64, 12.0, "Cl2"), (3, 16, 10.0, "H")):
@@ -358,7 +351,7 @@ def run_plemelj(cfg: SuiteConfig):
     extras = {}
     if not cfg.wants(2):
         return out, extras
-    spec = fl.GridSpec(2, cfg.N or 64, cfg.L or 12.0)
+    spec = _grid(cfg, 2, 64, 12.0)
     X = spec.coords()
     data = np.zeros(spec.shape + (4,), dtype=complex)
     data[..., 0] = np.exp(-pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
@@ -402,10 +395,10 @@ def run_subspaces(cfg: SuiteConfig):
     out = []
     setups = []
     if cfg.wants(3):
-        setups.append((fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0), "H", rep.QUATERNION_SPATIAL_IDS, "quaternion"))
-        setups.append((fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0), "Cl3", rep.CL3_SPATIAL_IDS, "cl3"))
+        setups.append((_grid(cfg, 3, 16, 10.0), "H", rep.QUATERNION_SPATIAL_IDS, "quaternion"))
+        setups.append((_grid(cfg, 3, 16, 10.0), "Cl3", rep.CL3_SPATIAL_IDS, "cl3"))
     if cfg.wants(2):
-        setups.append((fl.GridSpec(2, cfg.N or 32, cfg.L or 12.0), "Cl2", rep.CL2_SPATIAL_IDS, "cl2"))
+        setups.append((_grid(cfg, 2, 32, 12.0), "Cl2", rep.CL2_SPATIAL_IDS, "cl2"))
 
     for spec, algebra, ids, label in setups:
         f = fl.make_band_limited_random(spec, algebra, 0.3, cfg.seed + spec.n)
@@ -417,25 +410,24 @@ def run_subspaces(cfg: SuiteConfig):
             worst = max(worst, float(np.linalg.norm(pp.data - p.data) / np.linalg.norm(f.data)))
         out.append(_case(cfg, "subspaces", f"idempotent_{label}", worst, 1e-12))
 
+        proj = {sid: rep.subspace_project(sid, f).data for sid in ids}
         acc = np.zeros_like(f.data)
         for sid in ids:
-            acc = acc + rep.subspace_project(sid, f).data
+            acc = acc + proj[sid]
         res = float(np.linalg.norm(acc - f.data) / np.linalg.norm(f.data))
         out.append(_case(cfg, "subspaces", f"reconstruction_{label}", res, 1e-12))
 
         worst = 0.0
-        npairs = len(ids) // 2
-        for j in range(1, npairs + 1):
-            plus = rep.parse_subspace_id(ids[0].value.split("(")[0] + f"({j},+)")
-            minus = rep.parse_subspace_id(ids[0].value.split("(")[0] + f"({j},-)")
-            both = rep.subspace_project(plus, f).data + rep.subspace_project(minus, f).data
+        for j in range(1, len(ids) // 2 + 1):
+            plus, minus = (proj[sid] for sid in ids if rep.SUBSPACE_INFO[sid].pair == j)
+            both = plus + minus
             P = alg.pair_projector(algebra, j)
             ideal_component = np.einsum("ab,...b->...a", P, f.data)
             worst = max(worst, float(np.linalg.norm(both - ideal_component) / np.linalg.norm(f.data)))
         out.append(_case(cfg, "subspaces", f"complementary_{label}", worst, 1e-12))
 
     if cfg.wants(3):
-        spec = fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0)
+        spec = _grid(cfg, 3, 16, 10.0)
         worst = 0.0
         for sid, sgn in ((rep.SubspaceId.QHardy1Plus, 1), (rep.SubspaceId.QHardy1Minus, -1)):
             m = rep.random_subspace_member(sid, spec, cfg.seed + 7)
@@ -487,9 +479,9 @@ def run_representation(cfg: SuiteConfig):
     out = []
     setups = []
     if cfg.wants(3):
-        setups.append((fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0), "H"))
+        setups.append((_grid(cfg, 3, 16, 10.0), "H"))
     if cfg.wants(2):
-        setups.append((fl.GridSpec(2, cfg.N or 32, cfg.L or 12.0), "Cl2"))
+        setups.append((_grid(cfg, 2, 32, 12.0), "Cl2"))
 
     want_exact = cfg.mode in (None, "exact")
     want_spectral = cfg.mode in (None, "spectral")
@@ -562,7 +554,7 @@ def run_representation(cfg: SuiteConfig):
                              rep.riesz_covariance_residual(sp.random_spin(n, rng), f, mode="modes"), 1e-8))
 
     if cfg.wants(3):
-        spec = fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0)
+        spec = _grid(cfg, 3, 16, 10.0)
         rng = np.random.default_rng(cfg.seed + 31)
         member = rep.random_subspace_member(rep.SubspaceId.TildeH1Minus, spec, cfg.seed + 31, bandfraction=0.2)
         worst = 0.0
@@ -594,7 +586,7 @@ def run_intertwiners(cfg: SuiteConfig):
     out = []
     rng = np.random.default_rng(cfg.seed)
     if cfg.wants(3):
-        spec = fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0)
+        spec = _grid(cfg, 3, 16, 10.0)
         member = rep.random_subspace_member(rep.SubspaceId.TildeH1Plus, spec, cfg.seed + 1)
         moved = rep.intertwiner_right_e1(member)
         res = rep.subspace_membership_residual(rep.SubspaceId.TildeH2Plus, moved)
@@ -615,7 +607,7 @@ def run_intertwiners(cfg: SuiteConfig):
         out.append(_case(cfg, "intertwiners", "left_w_commutes_with_spins", worst, 1e-13))
 
     if cfg.wants(2):
-        spec = fl.GridSpec(2, cfg.N or 32, cfg.L or 12.0)
+        spec = _grid(cfg, 2, 32, 12.0)
         f = fl.make_band_limited_random(spec, "Cl2", 0.3, cfg.seed + 3)
         rho = rep.rho_conjugation_n2(f)
         out.append(_case(cfg, "intertwiners", "rho_isometry",
@@ -641,10 +633,10 @@ def run_commutant(cfg: SuiteConfig):
     extras = {"commutant_sv": {}, "commutant_notes": {}}
     configs = []
     if cfg.wants(3):
-        configs.append(("n3_S2", fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0), "S2", 2))
-        configs.append(("n3_full", fl.GridSpec(3, cfg.N or 16, cfg.L or 10.0), "full", 8))
+        configs.append(("n3_S2", _grid(cfg, 3, 16, 10.0), "S2", 2))
+        configs.append(("n3_full", _grid(cfg, 3, 16, 10.0), "full", 8))
     if cfg.wants(2):
-        configs.append(("n2_S2", fl.GridSpec(2, cfg.N or 16, cfg.L or 12.0), "S2", 4))
+        configs.append(("n2_S2", _grid(cfg, 2, 16, 12.0), "S2", 4))
     for label, spec, restriction, expected in configs:
         report = rep.commutant_dimension_experiment(spec, restriction=restriction, samples=8, seed=cfg.seed)
         extras["commutant_sv"][label] = report.singular_values
@@ -675,30 +667,26 @@ SUITES = {
     "intertwiners": run_intertwiners,
     "commutant": run_commutant,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(cfg: SuiteConfig):
     """Run one suite (or all) and return (cases, extras)."""
-    if cfg.suite == "all":
-        names = list(SUITE_NAMES)
-    elif cfg.suite in SUITES:
-        names = [cfg.suite]
-    else:
-        raise UsageError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    results = []
-    extras = {}
+    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+
+    def run(name):
+        return SUITES[name](cfg)
+
     if cfg.parallel > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            futures = {name: pool.submit(SUITES[name], cfg) for name in names}
-            for name in names:
-                cases, ex = futures[name].result()
-                results.extend(cases)
-                extras.update(ex)
+            runs = list(pool.map(run, names))
     else:
-        for name in names:
-            cases, ex = SUITES[name](cfg)
-            results.extend(cases)
-            extras.update(ex)
+        runs = map(run, names)
+    results = []
+    extras = {}
+    for cases, ex in runs:
+        results.extend(cases)
+        extras.update(ex)
     unused = sorted(set(cfg.tol_overrides) - {r.case for r in results})
     if unused:
         raise UsageError(f"tolerance override for no case in this run: {', '.join(unused)}")

@@ -113,8 +113,9 @@ def hardy_project(sign, f: fl.CliffordField) -> fl.CliffordField:
 
 def poisson_extend(f: fl.CliffordField, x0: float) -> fl.CliffordField:
     """Harmonic extension to height |x0|: spectral damping exp(-2 pi |x0| |xi|)."""
-    if not (isfinite(x0) and x0 != 0):
-        raise ValueError("extension height must be finite and nonzero")
+    # 2 pi |x0| = inf would make 0 * inf = NaN at the zero frequency
+    if not (isfinite(2 * pi * x0) and x0 != 0):
+        raise ValueError(f"extension height must be nonzero with 2 pi |x0| finite, got {x0!r}")
     F = fl.spectral_forward(f)
     damp = np.exp(-2 * pi * abs(x0) * f.spec.freq_magnitude())
     F.data = F.data * damp[..., None]
@@ -228,4 +229,8 @@ def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = 
     fu = fl.spectral_upsample(f, ups)
     K = _image_sum(fu.spec, x0, p, _IMAGES if p == n + 1 else 0)
     C = _correlate(K, np.eye(f.algebra.dim)[: n + 1], fu)[(slice(None, None, ups),) * n]
-    return fl.CliffordField(spec, f.value_algebra, C * (-1.0 / _sphere_area(n)), f.meta)
+    C = C * (-1.0 / _sphere_area(n))
+    if not np.isfinite(C).all():
+        # the kernel underflows at an on-grid image point for a tiny x0 and overflows for a huge one
+        raise ValueError(f"the Cauchy integral at height {x0!r} is not finite")
+    return fl.CliffordField(spec, f.value_algebra, C, f.meta)

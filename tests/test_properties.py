@@ -1,7 +1,10 @@
 """Property tests: text forms of multivectors and group elements, the group
-law, the two field file formats, and the symbol product against the general
-product kernel and the symbolic oracle."""
+law, the two field file formats, the symbol product against the general
+product kernel and the symbolic oracle, and the command line's operator specs
+and config files."""
 
+import contextlib
+import io
 import os
 import re
 import tempfile
@@ -11,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffharm import algebra as alg
+from cliffharm import cli
 from cliffharm import fields as fl
+from cliffharm import representations as rep
 from cliffharm import spin as sp
+from cliffharm import suites
 
 import symbolic_oracle as oracle
 
@@ -157,3 +163,68 @@ def test_symbol_product_matches_the_product_kernel_and_the_oracle(algebra, point
             want = oracle.mv_to_coeffs(oracle.mv_mul(oracle.mv_from_coeffs(m[p], gens),
                                                      oracle.mv_from_coeffs(b[p], gens)), gens)
             assert alg.coeff_norm(result[p] - np.array(want)) <= 1e-12 * max(alg.coeff_norm(want), 1.0)
+
+
+# the text a user may put after an operator's ':' or a config key's '='
+WORDS = ["+", "-", "0", "1", "2", "-1", "0.5", "16", "all", "spin", "exact", "spectral", "r.jsonl"]
+IDS = [*(s.value for s in rep.SubspaceId), *(i.name for i in alg.IdealId)]
+argument = st.one_of(st.sampled_from(WORDS), number, st.sampled_from(IDS), group_element_text(),
+                     st.text(alphabet="0123456789.,;:|+-=#() eanifx", max_size=12))
+
+# an argument each operator accepts on a Cl2 field, so that accepted specs are drawn as often as refused ones
+OP_ARGS = {"hilbert": [None], "riesz": ["0", "1"], "chi": ["+", "-"], "poisson": ["0.5"], "cauchy": ["0.5"],
+           "natrep": ["1.0|4;0:1.0,0.0|0.5,0.0"], "project": ["HardyPlus", "TildeTildeH(1,+)", "U2plus"],
+           "squiggle": [None], "": [None]}
+
+
+@st.composite
+def op_spec(draw):
+    head = draw(st.sampled_from(list(OP_ARGS)))
+    arg = draw(st.one_of(st.sampled_from(OP_ARGS[head]), st.none(), argument))
+    return head if arg is None else f"{head}:{arg}"
+
+
+@settings(PROPERTY, max_examples=150)
+@given(op_spec())
+def test_transform_op_specs_are_applied_or_refused(op):
+    f = fl.make_band_limited_random(fl.GridSpec(2, 8, 4.0), "Cl2", 0.4, 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in.clf"), os.path.join(tmp, "out.clf")
+        fl.write_field(f, src)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = cli.main(["transform", op, src, dst])
+        assert code in (0, 2), op
+        if code == 0:
+            assert fl.read_field(dst).spec == f.spec, op
+        else:
+            assert err.getvalue().startswith("error:") and not os.path.exists(dst), op
+
+
+# a value each config key accepts; the last four keys are unknown
+CONFIG_VALUES = {"suite": ["all", "spin"], "n": ["2", "3"], "N": ["16"], "L": ["12.5"], "seed": ["7"],
+                 "mode": ["exact", "spectral"], "out": ["r.jsonl"], "parallel": ["2"],
+                 "tol.associativity": ["1e-6"], "sede": ["5"], "emit_plots": ["out"], "config": ["c.ini"], "": ["1"]}
+config_line = st.one_of(
+    st.sampled_from(list(CONFIG_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(st.sampled_from(CONFIG_VALUES[key]), argument))),
+    st.sampled_from(["# a comment", "", "no separator", "tol. = 1"]),
+)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.lists(config_line, max_size=4))
+def test_config_files_are_read_or_refused(lines):
+    text = "\n".join(line if isinstance(line, str) else f"{line[0]} = {line[1]}" for line in lines)
+    unknown = any(isinstance(line, tuple) and line[0] not in cli.OPTIONS and not line[0].startswith("tol.")
+                  for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "conf.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        args = cli.build_parser().parse_args(["verify", "--config", path])
+        try:
+            cfg = cli._build_config(args)
+        except suites.UsageError:
+            return
+    assert isinstance(cfg, suites.SuiteConfig) and not unknown, text

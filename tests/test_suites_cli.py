@@ -49,6 +49,10 @@ def test_run_suite_in_process_smoke():
         {"N": 12},
         {"N": 4},
         {"n": 4},
+        {"L": 0.0},
+        {"L": -1.0},
+        {"L": float("nan")},
+        {"seed": -1},
         {"mode": "sideways"},
         {"tol_overrides": {"some_case": -1.0}},
         {"parallel": 0},
@@ -125,6 +129,30 @@ def test_cli_rejects_parallel_below_one(value, tmp_path):
         p = run_cli("verify", "--suite", "algebra", *args)
         assert p.returncode == 2
         assert p.stderr.startswith("error:") and "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("--L", "0"), None),
+        (("--L", "-1", "--suite", "algebra"), None),
+        (("--seed", "-1", "--suite", "spectral"), None),
+        (("--n", "x"), None),
+        ((), "sede = 5"),
+        ((), "emit_plots = out"),
+    ],
+)
+def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
+    if config:
+        conf = tmp_path / "conf.ini"
+        conf.write_text(f"# a comment line\n{config}\n")
+        args = ("--config", conf)
+    p = run_cli("verify", *args)
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("error:") and "Traceback" not in p.stderr
+    assert p.stdout == ""
+    if config:
+        assert f"conf.ini:2: unknown key {config.split()[0]!r}" in p.stderr
 
 
 def test_cli_rejects_tightened_tolerance():
@@ -216,6 +244,9 @@ def test_cli_seed_env_fallback(tmp_path):
     assert p.returncode == 0
     head, _ = read_report(out)
     assert head["seed"] == 11
+    p = run_cli("verify", "--suite", "spin", env_extra={"CLIFFORD_HILBERT_SEED": "-5"})
+    assert p.returncode == 2
+    assert p.stderr.startswith("error:") and p.stdout == ""
 
 
 def test_cli_config_file_tolerances(tmp_path):
@@ -275,6 +306,8 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
     _, path = sample_field
     out = tmp_path / "out.clf"
     assert run_cli("transform", "squigglify", path, out).returncode == 2
+    assert run_cli("transform", "hilbert:x", path, out).returncode == 2
+    assert not out.exists()
     assert run_cli("transform", "hilbert", tmp_path / "missing.clf", out).returncode == 2
     assert run_cli("transform", "riesz:7", path, out).returncode == 2
     bad_files = {
@@ -314,7 +347,8 @@ def test_cli_transform_refuses_non_finite_box_length(tmp_path):
 
 @pytest.mark.parametrize(
     "op",
-    ["natrep:nan|4;0:1,0|0,0", "natrep:1|4;0:1,0|0.3,inf", "poisson:nan", "cauchy:inf"],
+    ["natrep:nan|4;0:1,0|0,0", "natrep:1|4;0:1,0|0.3,inf", "poisson:nan", "cauchy:inf",
+     "cauchy:1e-200", "cauchy:1e308", "poisson:1e308"],
 )
 def test_cli_transform_refuses_non_finite_parameters(op, sample_field, tmp_path):
     _, path = sample_field

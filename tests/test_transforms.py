@@ -188,8 +188,9 @@ def test_poisson_damps_each_mode_by_its_frequency():
     ximag = np.hypot(k1 / spec.L, k2 / spec.L)
     want = np.exp(-2 * np.pi * x0 * ximag)
     assert np.max(np.abs(ext.data[..., 0] - want * f.data[..., 0])) < 1e-12
-    with pytest.raises(ValueError):
-        tr.poisson_extend(f, 0.0)
+    for bad in (0.0, 3e307):
+        with pytest.raises(ValueError):
+            tr.poisson_extend(f, bad)
 
 
 def test_pv_quadrature_reproduces_the_multiplier_route():
@@ -224,6 +225,14 @@ def test_cauchy_extend_refuses_a_refined_grid_above_the_cap():
     f = fl.zero_field(fl.GridSpec(2, 512, 12.0), "Cl2")
     with pytest.raises(ValueError, match="refining a 512\\^2 grid 8x"):
         tr.cauchy_extend(f, 0.1)
+
+
+@pytest.mark.parametrize("x0", [1e-200, 1e308])
+def test_cauchy_extend_refuses_a_non_finite_result(x0):
+    # the kernel underflows at the on-grid image point for a tiny height and overflows for a huge one
+    f = fl.make_band_limited_random(fl.GridSpec(2, 8, 4.0), "Cl2", 0.4, 3)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        tr.cauchy_extend(f, x0)
 
 
 def _direct_image_sum(spec, x0, p, images):
