@@ -224,48 +224,45 @@ def paravector_inverse(x: np.ndarray, algebra: Algebra | str) -> np.ndarray:
     return x / mag2
 
 
-class IdealId(Enum):
-    S2plus = "S2plus"
-    S2minus = "S2minus"
-    S2plusE1 = "S2plusE1"
-    S2minusE1 = "S2minusE1"
-    W2plus = "W2plus"
-    W2minus = "W2minus"
-    W2plusE1 = "W2plusE1"
-    W2minusE1 = "W2minusE1"
-    W2plusE3 = "W2plusE3"
-    W2minusE3 = "W2minusE3"
-    W2plusE1E3 = "W2plusE1E3"
-    W2minusE1E3 = "W2minusE1E3"
-    U2plus = "U2plus"
-    U2minus = "U2minus"
-    U2plusE1 = "U2plusE1"
-    U2minusE1 = "U2minusE1"
-
-
 _i = 1j
 
-# Generating spinors, one line each, as literal coefficient vectors.
-_GEN = {
-    IdealId.S2plus: ("H", [1, 0, 0, -_i]),            # 1 - i e1e2
-    IdealId.S2minus: ("H", [0, 1, _i, 0]),            # e1 + i e2
-    IdealId.S2plusE1: ("H", [0, 1, -_i, 0]),          # (1 - i e1e2) e1
-    IdealId.S2minusE1: ("H", [-1, 0, 0, -_i]),        # (e1 + i e2) e1
-    IdealId.W2plus: ("Cl3", [1, 0, 0, -_i, -_i, 0, 0, -1]),
-    IdealId.W2minus: ("Cl3", [0, 1, _i, 0, 0, -_i, 1, 0]),
-    IdealId.W2plusE1: ("Cl3", [0, 1, -_i, 0, 0, _i, 1, 0]),
-    IdealId.W2minusE1: ("Cl3", [1, 0, 0, _i, _i, 0, 0, -1]),
-    IdealId.W2plusE3: ("Cl3", [_i, 0, 0, 1, 1, 0, 0, -_i]),
-    IdealId.W2minusE3: ("Cl3", [0, _i, -1, 0, 0, 1, _i, 0]),
-    IdealId.W2plusE1E3: ("Cl3", [0, -_i, -1, 0, 0, 1, -_i, 0]),
-    IdealId.W2minusE1E3: ("Cl3", [_i, 0, 0, -1, -1, 0, 0, -_i]),
-    IdealId.U2plus: ("Cl2", [1, 1, _i, -_i]),         # e1 + i e2 + 1 - i e1e2
-    IdealId.U2minus: ("Cl2", [-1, 1, _i, _i]),        # e1 + i e2 - (1 - i e1e2)
-    IdealId.U2plusE1: ("Cl2", [-1, 1, -_i, -_i]),
-    IdealId.U2minusE1: ("Cl2", [-1, -1, _i, -_i]),
+# One row per ideal line: ambient algebra, index j of the ambient pair in
+# _PAIR_VECS that holds the line, left eigenvalue of the reference axis on it,
+# and the generating spinor as a literal coefficient vector.  Pairs and
+# eigenvalues are recorded from direct blade arithmetic, not derived here, so
+# the algebra suite and the tests can check them against it; two of the U
+# lines come out opposite to a printed claim upstream, and the recorded value
+# wins.
+_IDEALS = {
+    "S2plus": ("H", 1, _i, [1, 0, 0, -_i]),            # 1 - i e1e2
+    "S2minus": ("H", 1, -_i, [0, 1, _i, 0]),           # e1 + i e2
+    "S2plusE1": ("H", 2, _i, [0, 1, -_i, 0]),          # (1 - i e1e2) e1
+    "S2minusE1": ("H", 2, -_i, [-1, 0, 0, -_i]),       # (e1 + i e2) e1
+    "W2plus": ("Cl3", 1, _i, [1, 0, 0, -_i, -_i, 0, 0, -1]),
+    "W2minus": ("Cl3", 1, -_i, [0, 1, _i, 0, 0, -_i, 1, 0]),
+    "W2plusE1": ("Cl3", 2, _i, [0, 1, -_i, 0, 0, _i, 1, 0]),
+    "W2minusE1": ("Cl3", 2, -_i, [1, 0, 0, _i, _i, 0, 0, -1]),
+    "W2plusE3": ("Cl3", 1, _i, [_i, 0, 0, 1, 1, 0, 0, -_i]),
+    "W2minusE3": ("Cl3", 1, -_i, [0, _i, -1, 0, 0, 1, _i, 0]),
+    "W2plusE1E3": ("Cl3", 2, _i, [0, -_i, -1, 0, 0, 1, -_i, 0]),
+    "W2minusE1E3": ("Cl3", 2, -_i, [_i, 0, 0, -1, -1, 0, 0, -_i]),
+    "U2plus": ("Cl2", 1, -_i, [1, 1, _i, -_i]),         # e1 + i e2 + 1 - i e1e2
+    "U2minus": ("Cl2", 1, _i, [-1, 1, _i, _i]),         # e1 + i e2 - (1 - i e1e2)
+    "U2plusE1": ("Cl2", 2, -_i, [-1, 1, -_i, -_i]),
+    "U2minusE1": ("Cl2", 2, _i, [-1, -1, _i, -_i]),
 }
 
-IDEAL_AMBIENT = {k: v[0] for k, v in _GEN.items()}
+IdealId = Enum("IdealId", [(k, k) for k in _IDEALS], module=__name__)
+
+IDEAL_AMBIENT = {IdealId(k): row[0] for k, row in _IDEALS.items()}
+IDEAL_AXIS_EIGENVALUE = {IdealId(k): row[2] for k, row in _IDEALS.items()}
+# Lines grouped by their ambient pair, pairs in order of first appearance.
+_pairs = [row[:2] for row in _IDEALS.values()]
+IDEAL_PAIR = dict(sorted(zip(IdealId, _pairs), key=lambda item: _pairs.index(item[1])))
+
+# Reference axis of each ambient algebra for the recorded eigenvalues: the
+# last spatial direction e_n, which sits in blade slot n of both tables.
+REFERENCE_AXIS_SLOT = {a: SPATIAL_DIM[a] for a in IDEAL_AMBIENT.values()}
 
 # Two-dimensional ambient left ideals, given as orthonormal column pairs.
 _PAIR_VECS = {
@@ -279,58 +276,12 @@ _PAIR_VECS = {
     ("Cl3", 4): ([0, 1, -_i, 0, 0, -_i, -1, 0], [1, 0, 0, -_i, _i, 0, 0, 1]),
 }
 
-IDEAL_PAIR = {
-    IdealId.S2plus: ("H", 1),
-    IdealId.S2minus: ("H", 1),
-    IdealId.S2plusE1: ("H", 2),
-    IdealId.S2minusE1: ("H", 2),
-    IdealId.W2plus: ("Cl3", 1),
-    IdealId.W2minus: ("Cl3", 1),
-    IdealId.W2plusE3: ("Cl3", 1),
-    IdealId.W2minusE3: ("Cl3", 1),
-    IdealId.W2plusE1: ("Cl3", 2),
-    IdealId.W2minusE1: ("Cl3", 2),
-    IdealId.W2plusE1E3: ("Cl3", 2),
-    IdealId.W2minusE1E3: ("Cl3", 2),
-    IdealId.U2plus: ("Cl2", 1),
-    IdealId.U2minus: ("Cl2", 1),
-    IdealId.U2plusE1: ("Cl2", 2),
-    IdealId.U2minusE1: ("Cl2", 2),
-}
-
-# Reference axis (by value algebra) used for recorded left eigenvalues:
-# the last spatial direction, i.e. blade slot 3 for "H"/"Cl3", slot 2 for "Cl2".
-REFERENCE_AXIS_SLOT = {"H": 3, "Cl3": 3, "Cl2": 2}
-
-# Measured left-multiplication eigenvalue of the reference axis on each
-# generator line.  Recorded from direct blade arithmetic; two of the U lines
-# come out opposite to a printed claim upstream, and the recorded value wins.
-IDEAL_AXIS_EIGENVALUE = {
-    IdealId.S2plus: _i,
-    IdealId.S2minus: -_i,
-    IdealId.S2plusE1: _i,
-    IdealId.S2minusE1: -_i,
-    IdealId.W2plus: _i,
-    IdealId.W2minus: -_i,
-    IdealId.W2plusE1: _i,
-    IdealId.W2minusE1: -_i,
-    IdealId.W2plusE3: _i,
-    IdealId.W2minusE3: -_i,
-    IdealId.W2plusE1E3: _i,
-    IdealId.W2minusE1E3: -_i,
-    IdealId.U2plus: -_i,
-    IdealId.U2minus: _i,
-    IdealId.U2plusE1: -_i,
-    IdealId.U2minusE1: _i,
-}
-
 
 def ideal_generators(id: IdealId) -> list:
     """Generating spinors of the named ideal line, as coefficient vectors."""
     if not isinstance(id, IdealId):
         raise KeyError(f"not an IdealId: {id!r}")
-    ambient, coeffs = _GEN[id]
-    return [np.array(coeffs, dtype=complex)]
+    return [np.array(_IDEALS[id.value][3], dtype=complex)]
 
 
 def pair_basis(algebra_name: str, pair_index: int) -> np.ndarray:

@@ -48,31 +48,6 @@ from .transforms import (
 # ---------------------------------------------------------------------------
 # subspace identifiers
 
-class SubspaceId(Enum):
-    TildeH1Plus = "TildeH(1,+)"
-    TildeH1Minus = "TildeH(1,-)"
-    TildeH2Plus = "TildeH(2,+)"
-    TildeH2Minus = "TildeH(2,-)"
-    PrimeH1Plus = "PrimeH(1,+)"
-    PrimeH1Minus = "PrimeH(1,-)"
-    PrimeH2Plus = "PrimeH(2,+)"
-    PrimeH2Minus = "PrimeH(2,-)"
-    PrimeH3Plus = "PrimeH(3,+)"
-    PrimeH3Minus = "PrimeH(3,-)"
-    PrimeH4Plus = "PrimeH(4,+)"
-    PrimeH4Minus = "PrimeH(4,-)"
-    TildeTildeH1Plus = "TildeTildeH(1,+)"
-    TildeTildeH1Minus = "TildeTildeH(1,-)"
-    TildeTildeH2Plus = "TildeTildeH(2,+)"
-    TildeTildeH2Minus = "TildeTildeH(2,-)"
-    QHardy1Plus = "QHardy(1,+)"
-    QHardy1Minus = "QHardy(1,-)"
-    QHardy2Plus = "QHardy(2,+)"
-    QHardy2Minus = "QHardy(2,-)"
-    HardyPlus = "HardyPlus"
-    HardyMinus = "HardyMinus"
-
-
 @dataclass(frozen=True)
 class SubspaceInfo:
     value_algebra: str | None
@@ -82,22 +57,26 @@ class SubspaceInfo:
     sign: int
 
 
-def _family(prefix, algebra, n, domain, npairs):
-    out = {}
-    for j in range(1, npairs + 1):
-        for sgn, tag in ((1, "+"), (-1, "-")):
-            out[SubspaceId(f"{prefix}({j},{tag})")] = SubspaceInfo(algebra, n, domain, j, sgn)
-    return out
-
-
-SUBSPACE_INFO = {
-    **_family("TildeH", "H", 3, "spatial", 2),
-    **_family("PrimeH", "Cl3", 3, "spatial", 4),
-    **_family("TildeTildeH", "Cl2", 2, "spatial", 2),
-    **_family("QHardy", "H", 3, "fourier", 2),
-    SubspaceId.HardyPlus: SubspaceInfo(None, None, "fourier", None, 1),
-    SubspaceId.HardyMinus: SubspaceInfo(None, None, "fourier", None, -1),
+# One row per subspace family: id prefix, value algebra, n, domain and number
+# of ideal pairs.  Pair j gives the members {prefix}{j}Plus/Minus with values
+# "{prefix}(j,+)"/"{prefix}(j,-)"; the two Hardy spaces follow the families.
+_FAMILIES = (
+    ("TildeH", "H", 3, "spatial", 2),
+    ("PrimeH", "Cl3", 3, "spatial", 4),
+    ("TildeTildeH", "Cl2", 2, "spatial", 2),
+    ("QHardy", "H", 3, "fourier", 2),
+)
+_INFO = {
+    (f"{prefix}{j}{word}", f"{prefix}({j},{tag})"): SubspaceInfo(algebra, n, domain, j, sgn)
+    for prefix, algebra, n, domain, npairs in _FAMILIES
+    for j in range(1, npairs + 1)
+    for sgn, tag, word in ((1, "+", "Plus"), (-1, "-", "Minus"))
 }
+_INFO[("HardyPlus", "HardyPlus")] = SubspaceInfo(None, None, "fourier", None, 1)
+_INFO[("HardyMinus", "HardyMinus")] = SubspaceInfo(None, None, "fourier", None, -1)
+
+SubspaceId = Enum("SubspaceId", list(_INFO), module=__name__)
+SUBSPACE_INFO = dict(zip(SubspaceId, _INFO.values()))
 
 QUATERNION_SPATIAL_IDS = [s for s in SubspaceId if s.value.startswith("TildeH(")]
 CL3_SPATIAL_IDS = [s for s in SubspaceId if s.value.startswith("PrimeH(")]
@@ -184,13 +163,13 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
     return pf._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), pf.data))
 
 
-def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField, section=None) -> float:
+def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
     """|| f - P f || / || f || for P the subspace projection.  Raises
     ValueError on an all-zero field: there is nothing to check."""
     den = np.linalg.norm(f.data)
     if den == 0:
         raise ValueError("membership residual of an all-zero field")
-    p = subspace_project(id, f, section)
+    p = subspace_project(id, f)
     return float(np.linalg.norm(f.data - p.data) / den)
 
 
@@ -291,9 +270,7 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
         label = f"chi({'+' if s_ > 0 else '-'}) half-space"
     if residual > 1e-8:
         raise SubspaceMembershipError(f"input is not a {label} member", residual)
-    moved = fl.resample_action(GroupElement(1.0 / g.r, g.s, np.zeros(g.n)), f)
-    out = fl.left_multiply_constant(spin_value_coefficients(g.s, f.value_algebra), moved)
-    out.data = out.data * g.r ** (f.spec.n / 2)
+    out = natural_rep(GroupElement(1.0 / g.r, g.s, np.zeros(g.n)), f)
     X = f.spec.coords()
     phase = np.exp(2j * np.pi * sum(g.b[a] * X[a] for a in range(f.spec.n)))
     out.data = out.data * phase[..., None]

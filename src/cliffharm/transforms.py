@@ -227,8 +227,9 @@ def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = 
     p = n + 1 if kernel_exponent is None else kernel_exponent
     ups = 8 if n == 2 else 2
     fu = fl.spectral_upsample(f, ups)
-    K = _image_sum(fu.spec, x0, p, _IMAGES if p == n + 1 else 0)
-    C = _correlate(K, np.eye(f.algebra.dim)[: n + 1], fu)[(slice(None, None, ups),) * n]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        K = _image_sum(fu.spec, x0, p, _IMAGES if p == n + 1 else 0)
+        C = _correlate(K, np.eye(f.algebra.dim)[: n + 1], fu)[(slice(None, None, ups),) * n]
     C = C * (-1.0 / _sphere_area(n))
     if not np.isfinite(C).all():
         # the kernel underflows at an on-grid image point for a tiny x0 and overflows for a huge one

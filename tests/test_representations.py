@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ def test_parse_subspace_id():
     assert rp.parse_subspace_id("TildeH1Plus") is rp.SubspaceId.TildeH1Plus
     with pytest.raises(KeyError):
         rp.parse_subspace_id("TildeH(9,+)")
+    for member in rp.SubspaceId:
+        assert rp.parse_subspace_id(member.value) is member
+        assert rp.parse_subspace_id(member.name) is member
+    assert set(rp.SUBSPACE_INFO) == set(rp.SubspaceId)
+
+
+def test_catalogue_ids_survive_pickle():
+    for member in (rp.SubspaceId.QHardy1Plus, alg.IdealId.W2minusE1E3):
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 def test_identity_shortcut_returns_fresh_copy():

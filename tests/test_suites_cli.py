@@ -95,6 +95,17 @@ def test_cli_info_runs():
     p = run_cli("info")
     assert p.returncode == 0
     assert "suites" in p.stdout
+    lines = p.stdout.splitlines()
+    assert (
+        "subspace ids: TildeH(1,+), TildeH(1,-), TildeH(2,+), TildeH(2,-), PrimeH(1,+), PrimeH(1,-), "
+        "PrimeH(2,+), PrimeH(2,-), PrimeH(3,+), PrimeH(3,-), PrimeH(4,+), PrimeH(4,-), TildeTildeH(1,+), "
+        "TildeTildeH(1,-), TildeTildeH(2,+), TildeTildeH(2,-), QHardy(1,+), QHardy(1,-), QHardy(2,+), "
+        "QHardy(2,-), HardyPlus, HardyMinus"
+    ) in lines
+    assert (
+        "ideal ids: S2plus, S2minus, S2plusE1, S2minusE1, W2plus, W2minus, W2plusE1, W2minusE1, W2plusE3, "
+        "W2minusE3, W2plusE1E3, W2minusE1E3, U2plus, U2minus, U2plusE1, U2minusE1"
+    ) in lines
 
 
 def test_cli_verify_algebra_writes_report(tmp_path):
@@ -357,6 +368,7 @@ def test_cli_transform_refuses_non_finite_parameters(op, sample_field, tmp_path)
     assert res.returncode == 2, res.stderr
     assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
     assert "Traceback" not in res.stderr
+    assert "Warning" not in res.stderr
     assert not out.exists()
 
 
