@@ -115,25 +115,22 @@ def spin_value_coefficients(s: SpinElement, value_algebra: str) -> np.ndarray:
 def _chi_spatial_array(f: fl.CliffordField, sign: int, section=None) -> np.ndarray:
     """Pointwise half-space factor chi_sign(x/|x|) as a coefficient array.
 
-    With a section, the factor is assembled as s_w chi_ref s_w^-1 at each
-    point, which must agree with the direct form for any valid section."""
+    With a section, the factor is assembled as s_w chi_ref s_w^-1 from one
+    section call on all directions; it must agree with the direct form."""
     spec = f.spec
     if section is None:
         return _symbol(spec.coords(), f.value_algebra, 0.5, sign * 0.5j)
     a = f.algebra
     ref = _symbol(np.eye(spec.n)[-1][:, None], f.value_algebra, 0.5, sign * 0.5j)[0]  # chi_sign(e_n)
     pts = np.stack([c.ravel() for c in spec.coords()], axis=-1)
+    mag = np.linalg.norm(pts, axis=-1)
+    away = mag != 0
+    s = section(pts[away] / mag[away, None])
+    sval = spin_value_coefficients(s, f.value_algebra)
+    sinv = spin_value_coefficients(s.inverse(), f.value_algebra)
     out = np.zeros((pts.shape[0], a.dim), dtype=complex)
-    for k in range(pts.shape[0]):
-        x = pts[k]
-        mag = np.linalg.norm(x)
-        if mag == 0:
-            out[k, 0] = 0.5
-            continue
-        s = section(x / mag)
-        sval = spin_value_coefficients(s, f.value_algebra)
-        sinv = spin_value_coefficients(s.inverse(), f.value_algebra)
-        out[k] = geometric_product(geometric_product(sval, ref, a), sinv, a)
+    out[~away, 0] = 0.5
+    out[away] = a.product(a.product(sval, ref), sinv)
     return out.reshape(spec.shape + (a.dim,))
 
 
@@ -152,9 +149,15 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
     Fourier-side ids compose it with the Hardy projection chi_sign(xi/|xi|);
     the ideal projection is a constant value matrix, so it commutes with the
     transform.  HardyPlus/Minus work for any value algebra.
+
+    A section, for spatial ids only, is a callable from a (P, n) array of
+    unit vectors w to a SpinElement holding P rotors s_w with
+    s_w e_n s_w^-1 = w; the factor is then assembled as s_w chi(e_n) s_w^-1.
     """
     info = SUBSPACE_INFO[id]
     _check_field_matches(info, f)
+    if section is not None and info.domain != "spatial":
+        raise ValueError(f"{id.value} is not a spatial subspace; a section applies to spatial ids only")
     if info.pair is None:
         return hardy_project(info.sign, f)
     pf = f._like(np.einsum("ab,...b->...a", pair_projector(f.value_algebra, info.pair), f.data))

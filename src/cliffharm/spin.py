@@ -15,7 +15,6 @@ from .algebra import (
     clifford_conjugate,
     coeff_norm,
     geometric_product,
-    get_algebra,
     parse_multivector,
     serialize_multivector,
     vector_embed,
@@ -23,32 +22,38 @@ from .algebra import (
 )
 
 _TABLE_FOR_N = {2: "Cl2", 3: "Cl3"}
-_EVEN_SLOTS = {2: (0, 3), 3: (0, 4, 5, 6)}
+_ODD_SLOTS = {2: [1, 2], 3: [1, 2, 3, 7]}
 
 
 @dataclass(frozen=True)
 class SpinElement:
-    """Unit even-grade rotor in Cl(0,n), n in {2,3}."""
+    """Unit even-grade rotor in Cl(0,n), n in {2,3}.
+
+    Coefficients have shape (..., dim): leading axes hold a batch of rotors,
+    and every row is checked as a single rotor is."""
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if self.n not in _TABLE_FOR_N:
+            raise ValueError("n must be 2 or 3")
         c = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", c)
-        alg = get_algebra(_TABLE_FOR_N[self.n])
-        if c.shape != (alg.dim,):
-            raise ValueError(f"rotor needs {alg.dim} coefficients for n={self.n}")
-        if not np.all(np.isfinite(c)):
+        dim = 2**self.n
+        if c.shape[-1:] != (dim,):
+            raise ValueError(f"rotor needs {dim} coefficients for n={self.n}")
+        if not np.isfinite(c).all():
             raise ValueError("rotor coefficients must be finite")
-        odd = [k for k in range(alg.dim) if k not in _EVEN_SLOTS[self.n]]
-        if coeff_norm(c[odd]) > 1e-12:
+        mag2 = c.real**2 + c.imag**2
+        if (mag2[..., _ODD_SLOTS[self.n]].sum(axis=-1) > 1e-24).any():
             raise ValueError("rotor must be even-grade")
-        if np.max(np.abs(c.imag)) > 1e-12:
+        if (np.abs(c.imag) > 1e-12).any():
             raise ValueError("rotor coefficients must be real")
-        nrm = coeff_norm(c)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"rotor norm {nrm} is not 1")
+        nrm = np.sqrt(mag2.sum(axis=-1))
+        off = nrm[np.abs(nrm - 1.0) > 1e-12]
+        if off.size:
+            raise ValueError(f"rotor norm {off[0]} is not 1")
 
     @property
     def algebra(self) -> str:
@@ -69,10 +74,7 @@ class SpinElement:
 
 
 def identity_spin(n: int) -> SpinElement:
-    alg = get_algebra(_TABLE_FOR_N[n])
-    c = np.zeros(alg.dim, dtype=complex)
-    c[0] = 1.0
-    return SpinElement(n, c)
+    return SpinElement(n, np.eye(2**n)[0])
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class GroupElement:
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError("dilation must be positive and finite")
+        if self.s.coeffs.ndim != 1:
+            raise ValueError("a group element holds one rotor, not a batch")
         b = np.asarray(self.b, dtype=float)
         if b.shape != (self.s.n,):
             raise ValueError("translation length must match the spin dimension")
@@ -110,6 +114,8 @@ def is_strict_identity(g: GroupElement) -> bool:
 
 
 def _sandwich(s: SpinElement, x: np.ndarray) -> np.ndarray:
+    if s.coeffs.ndim != 1:
+        raise ValueError("the spin action needs one rotor, not a batch")
     alg = s.algebra
     xe = vector_embed(np.asarray(x, dtype=float), alg, s.n)
     # s^-1 of a unit even rotor is its Clifford conjugate
@@ -155,22 +161,16 @@ def spin2_from_angle(theta: float) -> SpinElement:
     return SpinElement(2, c)
 
 
-def spin3_from_axis_angle(axis, theta: float) -> SpinElement:
-    """Rotor fixing the axis and turning the orthogonal plane by theta."""
+def spin3_from_axis_angle(axis, theta) -> SpinElement:
+    """Rotor fixing the axis and turning the orthogonal plane by theta.
+    An array of angles gives one rotor per angle."""
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-10:
         raise ValueError("axis must be a unit vector")
-    e123 = np.zeros(8, dtype=complex)
-    e123[7] = 1.0
-    bivec = -geometric_product(vector_embed(axis, "Cl3", 3), e123, "Cl3")
-    c = np.cos(theta / 2.0) * _unit_scalar(8) + np.sin(theta / 2.0) * bivec
+    bivec = -geometric_product(vector_embed(axis, "Cl3", 3), np.eye(8)[7], "Cl3")  # -axis e123
+    half = np.asarray(theta, dtype=float)[..., None] / 2.0
+    c = np.cos(half) * np.eye(8)[0] + np.sin(half) * bivec
     return SpinElement(3, c.real + 0j)
-
-
-def _unit_scalar(dim: int) -> np.ndarray:
-    c = np.zeros(dim, dtype=complex)
-    c[0] = 1.0
-    return c
 
 
 def rotation_matrix(s: SpinElement) -> np.ndarray:
@@ -181,26 +181,24 @@ def rotation_matrix(s: SpinElement) -> np.ndarray:
 def section_s_omega(omega) -> SpinElement:
     """Deterministic rotor with s e_ref s^-1 = omega (e_ref = e3, or e2 when n=2).
 
+    omega has shape (..., n); the result holds one rotor per unit vector.
     Formula (1 - omega e_ref)/norm, switching to the fixed antipodal
-    fallback when the norm falls under 1e-6.
+    fallback wherever the norm falls under 1e-6.
     """
     omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0]
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-10:
+    n = omega.shape[-1]
+    if n not in _TABLE_FOR_N:
+        raise ValueError("n must be 2 or 3")
+    if not np.all(np.abs(np.linalg.norm(omega, axis=-1) - 1.0) <= 1e-10):
         raise ValueError("omega must be a unit vector")
     alg = _TABLE_FOR_N[n]
-    dim = 4 if n == 2 else 8
-    ref = np.zeros(n)
-    ref[n - 1] = 1.0
-    u = _unit_scalar(dim) - geometric_product(
-        vector_embed(omega, alg, n), vector_embed(ref, alg, n), alg
-    )
-    nrm = coeff_norm(u)
-    if nrm < 1e-6:
-        c = np.zeros(dim, dtype=complex)
-        c[5 if n == 3 else 3] = 1.0  # e1e3, or e1e2 when n=2
-        return SpinElement(n, c)
-    return SpinElement(n, (u / nrm).real + 0j)
+    dim = 2**n
+    u = np.eye(dim)[0] - geometric_product(vector_embed(omega, alg, n), np.eye(dim)[n], alg)
+    # a dot product per row adds in coeff_norm's order; a last-axis sum rounds differently
+    nrm = np.sqrt(u.real[..., None, :] @ u.real[..., None])[..., 0]
+    fallback = np.eye(dim)[5 if n == 3 else 3]  # e1e3, or e1e2 when n=2
+    small = nrm < 1e-6
+    return SpinElement(n, np.where(small, fallback, u / np.where(small, 1.0, nrm)).real + 0j)
 
 
 def random_spin(n: int, rng) -> SpinElement:

@@ -440,8 +440,7 @@ def run_subspaces(cfg: SuiteConfig):
         gauged = rep.subspace_project(rep.SubspaceId.TildeH1Plus, f, section=sp.section_s_omega)
 
         def regauged(w):
-            eta = sp.spin3_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7 + float(w[0]))
-            return sp.section_s_omega(w) * eta
+            return sp.section_s_omega(w) * sp.spin3_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7 + w[..., 0])
 
         gauged2 = rep.subspace_project(rep.SubspaceId.TildeH1Plus, f, section=regauged)
         res = max(

@@ -332,3 +332,59 @@ def test_induced_rep_refuses_a_zero_field(subspace):
     g = sp.GroupElement(1.0, _quarter_turn(2), np.zeros(2))
     with pytest.raises(ValueError):
         rp.induced_rep("+", g, _zero_cl2_field(), subspace)
+
+
+def _chi_per_point(f, sign, section):
+    """The section-gauged factor one grid point at a time: a reference kept
+    apart from the batched assembly in rp._chi_spatial_array."""
+    a = f.value_algebra
+    ref = tr._symbol(np.eye(f.spec.n)[-1][:, None], a, 0.5, sign * 0.5j)[0]
+    pts = np.stack([c.ravel() for c in f.spec.coords()], axis=-1)
+    out = np.zeros((pts.shape[0], f.algebra.dim), dtype=complex)
+    for k, x in enumerate(pts):
+        mag = np.linalg.norm(x)
+        if mag == 0:
+            out[k, 0] = 0.5
+            continue
+        s = section(x / mag)
+        sval = rp.spin_value_coefficients(s, a)
+        sinv = rp.spin_value_coefficients(s.inverse(), a)
+        out[k] = alg.geometric_product(alg.geometric_product(sval, ref, a), sinv, a)
+    return out.reshape(f.spec.shape + (f.algebra.dim,))
+
+
+def _regauged(w):
+    """The reference section times a direction-dependent rotor fixing e_n:
+    a turn about e3 for n = 3, a sign (the whole stabiliser) for n = 2."""
+    w = np.asarray(w)
+    if w.shape[-1] == 2:
+        return sp.section_s_omega(w) * sp.SpinElement(2, np.where(w[..., :1] > 0, -1.0, 1.0) * np.eye(4)[0])
+    return sp.section_s_omega(w) * sp.spin3_from_axis_angle([0.0, 0.0, 1.0], 0.7 + w[..., 0])
+
+
+@pytest.mark.parametrize("section", [sp.section_s_omega, _regauged], ids=["reference", "regauged"])
+@pytest.mark.parametrize("value_algebra,n,N", [("H", 3, 8), ("Cl3", 3, 8), ("Cl2", 2, 16)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_section_path_matches_the_per_point_sandwich(section, value_algebra, n, N, sign):
+    f = fl.zero_field(fl.GridSpec(n, N, 10.0), value_algebra)
+    got = rp._chi_spatial_array(f, sign, section)
+    assert np.max(np.abs(got - _chi_per_point(f, sign, section))) <= 1e-15
+    # and any valid section gives the direct factor
+    assert np.max(np.abs(got - rp._chi_spatial_array(f, sign))) <= 1e-12
+
+
+def test_section_with_non_unit_rotors_is_refused():
+    f = fl.make_band_limited_random(_spec(3), "H", 0.3, 5)
+
+    def stretched(w):
+        return sp.SpinElement(3, 1.5 * sp.section_s_omega(w).coeffs)
+
+    with pytest.raises(ValueError, match="rotor norm"):
+        rp.subspace_project(rp.SubspaceId.TildeH1Plus, f, section=stretched)
+
+
+@pytest.mark.parametrize("id", [rp.SubspaceId.QHardy1Plus, rp.SubspaceId.HardyPlus, rp.SubspaceId.HardyMinus])
+def test_section_is_refused_for_fourier_side_ids(id):
+    f = fl.make_band_limited_random(_spec(3), "H", 0.3, 5)
+    with pytest.raises(ValueError, match="not a spatial subspace"):
+        rp.subspace_project(id, f, section=sp.section_s_omega)

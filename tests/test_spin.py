@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,73 @@ def test_serialization_roundtrip_is_exact(n):
         assert sp.strictly_equal(g, back)
     with pytest.raises(ValueError):
         sp.parse_group_element("1.0|4;0:1.0,0.0")
+
+
+def _directions(n, count, seed):
+    """Unit vectors in R^n, starting with -e_n and a point 1e-7 from it."""
+    w = np.random.default_rng(seed).standard_normal((count, n))
+    w[0] = 0.0
+    w[0, -1] = -1.0
+    w[1] = w[0]
+    w[1, 0] = 1e-7
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_section_equals_single_vector_calls(n):
+    w = _directions(n, 10_000, 43)
+    batch = sp.section_s_omega(w)
+    assert batch.coeffs.shape == (10_000, 2**n)
+    singles = np.stack([sp.section_s_omega(x).coeffs for x in w])
+    assert np.array_equal(batch.coeffs, singles)
+
+
+def test_angle_array_gives_one_rotor_per_angle():
+    theta = np.linspace(-4.0, 4.0, 7)
+    batch = sp.spin3_from_axis_angle([0.6, 0.0, 0.8], theta).coeffs
+    assert np.array_equal(batch, np.stack([sp.spin3_from_axis_angle([0.6, 0.0, 0.8], t).coeffs for t in theta]))
+
+
+def test_unit_checks_refuse_nan_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega must be a unit vector"):
+            sp.section_s_omega([float("nan"), 0.0, 0.0])
+        with pytest.raises(ValueError, match="omega must be a unit vector"):
+            sp.section_s_omega([[0.0, 1.0], [float("nan"), 0.0]])
+        with pytest.raises(ValueError, match="axis must be a unit vector"):
+            sp.spin3_from_axis_angle([float("nan"), 0.0, 0.0], 1.0)
+
+
+def test_rotor_dimension_outside_two_and_three_is_refused():
+    with pytest.raises(ValueError, match="n must be 2 or 3"):
+        sp.SpinElement(4, np.eye(16)[0])
+    with pytest.raises(ValueError, match="n must be 2 or 3"):
+        sp.identity_spin(4)
+    with pytest.raises(ValueError, match="n must be 2 or 3"):
+        sp.section_s_omega([0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "slot,value,message",
+    [
+        (0, 2.0, "rotor norm 2.0 is not 1"),
+        (1, 1.0, "rotor must be even-grade"),
+        (0, float("nan"), "rotor coefficients must be finite"),
+        (0, 1j, "rotor coefficients must be real"),
+    ],
+)
+def test_batch_with_one_bad_row_is_refused(slot, value, message):
+    c = sp.section_s_omega(_directions(3, 5, 47)).coeffs.copy()
+    c[3] = 0.0
+    c[3, slot] = value
+    with pytest.raises(ValueError, match=message):
+        sp.SpinElement(3, c)
+
+
+def test_one_rotor_operations_refuse_a_batch():
+    batch = sp.section_s_omega(_directions(3, 3, 53))
+    with pytest.raises(ValueError, match="one rotor"):
+        sp.GroupElement(1.0, batch, np.zeros(3))
+    with pytest.raises(ValueError, match="one rotor"):
+        sp.rotation_matrix(batch)
