@@ -188,6 +188,13 @@ def coeff_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex).ravel()))
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """coeff_norm of every row a[..., :]: a dot product per row adds in
+    coeff_norm's order, where a last-axis sum would round differently."""
+    a = np.asarray(a, dtype=complex)
+    return np.sqrt((a.real[..., None, :] @ a.real[..., None] + a.imag[..., None, :] @ a.imag[..., None])[..., 0, 0])
+
+
 def vector_embed(x, algebra: Algebra | str, spatial_n: int | None = None) -> np.ndarray:
     """Embed a real/complex spatial vector into coefficient slots 1..n."""
     alg = get_algebra(algebra) if isinstance(algebra, str) else algebra
@@ -309,9 +316,10 @@ def ideal_project(v: np.ndarray, id: IdealId) -> np.ndarray:
 # Quaternion view adapter: even part of the 8-dim table -> 4-dim table.
 # 1 -> 1, e23 -> e1', e13 -> -e2', e12 -> e3'.
 def phi_even_to_h(a: np.ndarray) -> np.ndarray:
+    """The even part of each row a[..., :] of Cl3 coefficients as a
+    quaternion; every row's odd part must be below 1e-10 of its norm."""
     a = np.asarray(a, dtype=complex)
-    odd = coeff_norm(a[..., [1, 2, 3, 7]])
-    if odd > 1e-10 * max(coeff_norm(a), 1.0):
+    if np.any(_row_norms(a[..., [1, 2, 3, 7]]) > 1e-10 * np.maximum(_row_norms(a), 1.0)):
         raise ValueError("quaternion view needs an even-grade element")
     out = np.zeros(a.shape[:-1] + (4,), dtype=complex)
     out[..., 0] = a[..., 0]

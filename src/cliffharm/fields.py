@@ -20,7 +20,8 @@ from .spin import GroupElement, inverse as group_inverse, rotation_matrix
 
 MAGIC = b"CLF1"
 # rows of the per-axis phase product that resample_action forms at once (the
-# block size of Algebra.product), cut so that rows x modes stays within 2^20
+# block size of Algebra.product), cut so that rows x modes stays within 2^20,
+# and the rows write_field_json encodes at once
 _BLOCK = 512
 # the most grid points a GridSpec may hold (N <= 2048 for n = 2, N <= 128 for n = 3),
 # refined grids included
@@ -344,16 +345,15 @@ def read_field_binary(path) -> CliffordField:
 def write_field_json(f, path) -> None:
     spec = f.spec
     flat = f.data.reshape(-1, f.algebra.dim)
-    doc = {
-        "format": "CLF1",
-        "n": spec.n,
-        "N": spec.N,
-        "L": spec.L,
-        "value_algebra": f.value_algebra,
-        "values": [[[v.real, v.imag] for v in row] for row in flat],
-    }
+    head = json.dumps({"format": "CLF1", "n": spec.n, "N": spec.N, "L": spec.L, "value_algebra": f.value_algebra})
+    # the bytes json.dump writes for the whole document, with "values" encoded
+    # _BLOCK rows at a time by the C encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(head[:-1] + ', "values": [')
+        for lo in range(0, len(flat), _BLOCK):
+            blk = flat[lo:lo + _BLOCK]
+            fh.write((", " if lo else "") + json.dumps(np.stack([blk.real, blk.imag], -1).tolist())[1:-1])
+        fh.write("]}")
 
 
 def read_field_json(path) -> CliffordField:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _row_norms,
     clifford_conjugate,
     coeff_norm,
     geometric_product,
@@ -186,7 +187,7 @@ def section_s_omega(omega) -> SpinElement:
     fallback wherever the norm falls under 1e-6.
     """
     omega = np.asarray(omega, dtype=float)
-    n = omega.shape[-1]
+    n = omega.shape[-1] if omega.ndim else None
     if n not in _TABLE_FOR_N:
         raise ValueError("n must be 2 or 3")
     if not np.all(np.abs(np.linalg.norm(omega, axis=-1) - 1.0) <= 1e-10):
@@ -194,8 +195,7 @@ def section_s_omega(omega) -> SpinElement:
     alg = _TABLE_FOR_N[n]
     dim = 2**n
     u = np.eye(dim)[0] - geometric_product(vector_embed(omega, alg, n), np.eye(dim)[n], alg)
-    # a dot product per row adds in coeff_norm's order; a last-axis sum rounds differently
-    nrm = np.sqrt(u.real[..., None, :] @ u.real[..., None])[..., 0]
+    nrm = _row_norms(u)[..., None]
     fallback = np.eye(dim)[5 if n == 3 else 3]  # e1e3, or e1e2 when n=2
     small = nrm < 1e-6
     return SpinElement(n, np.where(small, fallback, u / np.where(small, 1.0, nrm)).real + 0j)

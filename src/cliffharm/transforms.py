@@ -150,31 +150,66 @@ def _lattice_tail(n: int, L: float, M: int) -> float:
 _IMAGES = 4
 
 
+# radial-grid points _image_sum evaluates at once
+_SLAB = 2**18
+
+
 def _image_sum(spec: fl.GridSpec, x0: float, p: int, images: int) -> list:
     """Parts [K_0, K_1, ..., K_n] of the periodized kernel conj(q)/|q|^p,
     q = y - x0 the paravector offset to the image point y = x + m L, summed
     over |m|_inf <= images.  At x0 = 0 the singular cell is punctured; for
-    p = n+1 the truncated far images are added by their linear tail term."""
-    n, L = spec.n, spec.L
-    x = spec.axis()
-    K = [np.zeros(spec.shape) for _ in range(n + 1)]
-    for off in np.ndindex(*(2 * images + 1,) * n):
-        m = np.array(off) - images
-        y = np.meshgrid(*(x + k * L for k in m), indexing="ij", sparse=True)
-        r2 = sum((c * c for c in y), x0 * x0)
+    p = n+1 the truncated far images are added by their linear tail term.
+
+    Along each axis the offsets x + m L are y = h (k - c), k = 0 .. 2c-1,
+    with c = images N + N/2, so 1/|q|^p is evaluated once per |y| on the
+    radial grid h {0..c}^n and folded back to N points an axis at a time:
+    F sums the 2 images + 1 blocks of N entries of ext[k] = A[|k - c|], G
+    weights them by y first.  K_0 is F on every axis and K_a has G on axis
+    a.  The radial grid is taken in slabs of at most _SLAB points along
+    axis 0, the other axes folded in each slab, and axis 0 folded last."""
+    n, N, h = spec.n, spec.N, spec.h
+    c = images * N + N // 2
+    ry = h * np.arange(c + 1)  # |y|
+    sq = ry * ry
+
+    def fold(A, axis, weighted):
+        folded = np.empty(A.shape[:axis] + (N,) + A.shape[axis + 1:])
+        A, out = np.moveaxis(A, axis, 0), np.moveaxis(folded, axis, 0)
+        if weighted:
+            A = A * ry.reshape((-1,) + (1,) * (A.ndim - 1))
+        down, up = A[c:0:-1], A[:c]  # ext[:c] (y < 0) and ext[c:] (y >= 0)
+        np.concatenate([down[c - N // 2:], up[: N // 2]], out=out)  # the block holding y = 0
+        if weighted:
+            out[: N // 2] *= -1
+        add_down = np.subtract if weighted else np.add
+        for m in range(images):
+            add_down(out, down[m * N:(m + 1) * N], out=out)
+            out += up[N // 2 + m * N:N // 2 + (m + 1) * N]
+        return folded
+
+    # S[b]: slabs folded by F on axes 1..n-1, except G on axis b (None: F throughout)
+    S = {b: np.empty((c + 1,) + spec.shape[1:]) for b in (None, *range(1, n))}
+    rows = max(1, _SLAB // (c + 1) ** (n - 1))
+    for lo in range(0, c + 1, rows):
+        r2 = sum(np.meshgrid(sq[lo:lo + rows], *(sq,) * (n - 1), indexing="ij", sparse=True), x0 * x0)
         den = r2 ** (p // 2)
         if p % 2:
             den = den * np.sqrt(r2)
         with np.errstate(divide="ignore"):
             inv = 1.0 / den
-        if x0 == 0 and not m.any():
-            inv[r2 == 0] = 0.0
-        K[0] += inv
-        for a in range(n):
-            K[a + 1] -= y[a] * inv
-    T = _lattice_tail(n, L, images) if p == n + 1 else 0.0
+        if x0 == 0 and lo == 0:
+            inv[(0,) * n] = 0.0
+        part = {None: inv}
+        for axis in range(n - 1, 0, -1):
+            weighted = fold(part[None], axis, True)
+            part = {b: fold(A, axis, False) for b, A in part.items()}
+            part[axis] = weighted
+        for b, A in part.items():
+            S[b][lo:lo + rows] = A
+    K = [fold(S[None], 0, False), -fold(S[None], 0, True)] + [-fold(S[b], 0, False) for b in range(1, n)]
+    T = _lattice_tail(n, spec.L, images) if p == n + 1 else 0.0
     K[0] = -x0 * (K[0] + T)
-    for a, xa in enumerate(np.meshgrid(*(x,) * n, indexing="ij", sparse=True)):
+    for a, xa in enumerate(np.meshgrid(*(spec.axis(),) * n, indexing="ij", sparse=True)):
         K[a + 1] += (T / n) * xa
     return K
 

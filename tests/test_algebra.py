@@ -259,6 +259,42 @@ def test_quaternion_view_rejects_odd_elements():
         alg.phi_even_to_h(x)
 
 
+def _even_rows(count, seed):
+    rows = np.zeros((count, 8), dtype=complex)
+    rows[:, [0, 4, 5, 6]] = np.random.default_rng(seed).standard_normal((count, 4))
+    return rows
+
+
+def test_quaternion_view_checks_each_row():
+    # one row with a small odd part in a large batch is refused, as it is
+    # alone, although the batch's aggregate odd norm is below the threshold
+    rows = _even_rows(10**5, 11)
+    rows[777, 1] = 1e-8
+    with pytest.raises(ValueError, match="even-grade"):
+        alg.phi_even_to_h(rows[777])
+    with pytest.raises(ValueError, match="even-grade"):
+        alg.phi_even_to_h(rows)
+    rows[777, 1] = 0.0
+    got = alg.phi_even_to_h(rows[:300])
+    assert np.array_equal(got, np.stack([alg.phi_even_to_h(r) for r in rows[:300]]))
+
+
+def test_quaternion_view_keeps_the_single_element_threshold():
+    # a single multivector is refused exactly when its odd norm exceeds
+    # 1e-10 max(|a|, 1), both norms taken by coeff_norm
+    rows = _even_rows(400, 12)
+    scale = np.random.default_rng(13).uniform(0.01, 100.0, (400, 1))
+    rows *= scale
+    for k, a in enumerate(rows):
+        a[[1, 2, 3, 7][k % 4]] = 1e-10 * max(alg.coeff_norm(a), 1.0) * (1 + (k % 7 - 3) * 2.0**-52)
+        refused = alg.coeff_norm(a[[1, 2, 3, 7]]) > 1e-10 * max(alg.coeff_norm(a), 1.0)
+        if refused:
+            with pytest.raises(ValueError, match="even-grade"):
+                alg.phi_even_to_h(a)
+        else:
+            alg.phi_even_to_h(a)
+
+
 def test_vector_embed_and_part_roundtrip():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(3)

@@ -170,6 +170,30 @@ def test_file_roundtrip(tmp_path, suffix):
     assert np.array_equal(back.data, f.data)
 
 
+def _json_reference(f, path):
+    """The whole-document writer: json.dump over Python lists of numpy scalars."""
+    spec = f.spec
+    flat = f.data.reshape(-1, f.algebra.dim)
+    doc = {"format": "CLF1", "n": spec.n, "N": spec.N, "L": spec.L, "value_algebra": f.value_algebra,
+           "values": [[[v.real, v.imag] for v in row] for row in flat]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("n,N,algebra,block", [(2, 8, "Cl2", None), (3, 16, "Cl3", None), (3, 16, "Cl3", 100),
+                                               (3, 8, "H", 7)])
+def test_json_write_matches_the_whole_document_writer(tmp_path, monkeypatch, n, N, algebra, block):
+    # block: rows encoded at once, when the row count should not be a multiple of it
+    if block:
+        monkeypatch.setattr(fl, "_BLOCK", block)
+    f = fl.make_band_limited_random(fl.GridSpec(n, N, 12.0), algebra, 0.4, 5)
+    f.data.flat[:7] = [complex(-0.0, -0.0), 5e-324, 1e308, complex(-5e-324, -1e308), complex(0.0, -0.0),
+                       complex(-0.0, 0.0), 0.1]
+    fl.write_field_json(f, tmp_path / "a.json")
+    _json_reference(f, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_binary_write_is_deterministic(tmp_path):
     spec = fl.GridSpec(2, 16, 12.0)
     f = fl.make_band_limited_random(spec, "Cl2", 0.4, 8)

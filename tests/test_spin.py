@@ -206,6 +206,12 @@ def test_rotor_dimension_outside_two_and_three_is_refused():
         sp.section_s_omega([0.0, 0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("omega", [1.0, np.float64(0.0), np.array(1.0)])
+def test_section_refuses_a_scalar(omega):
+    with pytest.raises(ValueError, match="n must be 2 or 3"):
+        sp.section_s_omega(omega)
+
+
 @pytest.mark.parametrize(
     "slot,value,message",
     [

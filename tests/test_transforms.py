@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,13 +264,29 @@ def _direct_image_sum(spec, x0, p, images):
 @pytest.mark.parametrize("n,tail", [(2, False), (2, True), (3, False), (3, True)])
 def test_image_sum_matches_a_direct_sum(n, tail, x0):
     # shared by both quadrature oracles; x0 = 0 is the punctured Riesz case,
-    # p = n + 1 adds the lattice tail, p = n does not
-    spec = fl.GridSpec(n, 8, 3.0)
+    # p = n + 1 adds the lattice tail, p = n does not; 0 to 2 images, and a
+    # 16-point grid beside the 8-point ones, reach every folded image block
+    # and the unmatched -(images + 1/2) L endpoint plane
     p = n + 1 if tail else n
-    want = _direct_image_sum(spec, x0, p, 1)
-    got = np.array(tr._image_sum(spec, x0, p, 1))
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for N in (8, 16) if n == 2 else (8,):
+        spec = fl.GridSpec(n, N, 3.0)
+        for images in (0, 1, 2):
+            want = _direct_image_sum(spec, x0, p, images)
+            got = np.array(tr._image_sum(spec, x0, p, images))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (N, images)
+
+
+def test_image_sum_memory_is_bounded_by_its_slabs():
+    # the radial grid of a 32^3 grid with 4 images is 145^3 points (24 MiB);
+    # it is evaluated and folded in slabs of at most 2^18 points
+    tracemalloc.start()
+    try:
+        tr._image_sum(fl.GridSpec(3, 32, 10.0), 0.2, 4, tr._IMAGES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def _epstein_zeta_ewald(d, s, R=6):
