@@ -46,7 +46,7 @@ def main():
         (fl.GridSpec(2, 16, 12.0), "S2"),
     ]:
         rep = rp.commutant_dimension_experiment(spec_c, restriction=restriction)
-        print(f"  n={rep.n}, {restriction:>4}: dimension {rep.dimension} "
+        print(f"  n={spec_c.n}, {restriction:>4}: dimension {rep.dimension} "
               f"(identity {rep.i_residual:.0e}, transform {rep.h_residual:.0e})")
         print(f"        {rep.note}")
     print()

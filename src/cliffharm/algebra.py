@@ -63,12 +63,11 @@ class Algebra:
 
     name: str
     gens: int
-    masks: tuple = field(repr=False, default=())
-    names: tuple = field(repr=False, default=())
-    tensor: np.ndarray = field(repr=False, default=None)
-    grades: np.ndarray = field(repr=False, default=None)
-    cols: np.ndarray = field(repr=False, default=None)
-    signs: np.ndarray = field(repr=False, default=None)
+    names: tuple = field(repr=False)
+    tensor: np.ndarray = field(repr=False)
+    grades: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -142,7 +141,7 @@ def _build(name: str, gens: int) -> Algebra:
     grades = np.array([bin(m).count("1") for m in masks])
     cols = np.argmax(T != 0, axis=1)
     signs = np.take_along_axis(T, cols[:, None, :], axis=1)[:, 0, :]
-    return Algebra(name, gens, masks, _NAMES[gens], T, grades, cols, signs)
+    return Algebra(name, gens, _NAMES[gens], T, grades, cols, signs)
 
 
 ALGEBRAS = {

@@ -92,6 +92,10 @@ def _build_config(args, suite_override=None) -> su.SuiteConfig:
 
 def _run_verify(args, suite_override=None) -> int:
     cfg = _build_config(args, suite_override)
+    if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        raise su.UsageError(f"report path {cfg.out!r} is a directory or lies in no existing directory")
+    if args.emit_plots:
+        os.makedirs(args.emit_plots, exist_ok=True)
     results, extras = su.run_suite(cfg)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -103,7 +107,6 @@ def _run_verify(args, suite_override=None) -> int:
     if cfg.out:
         su.write_report(cfg.out, results, cfg.seed)
     if args.emit_plots:
-        os.makedirs(args.emit_plots, exist_ok=True)
         for path in su.emit_plots(args.emit_plots, results, extras):
             print(f"wrote {path}")
     return 1 if failed else 0

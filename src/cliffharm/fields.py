@@ -9,9 +9,8 @@ inverse carries the per-bin weight (1/L)^n.
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,9 @@ _BLOCK = 512
 # the most grid points a GridSpec may hold (N <= 2048 for n = 2, N <= 128 for n = 3),
 # refined grids included
 MAX_POINTS = 2**22
+# the box lengths a GridSpec accepts: inside them the transform scales (L/N)^n
+# and (N/L)^n, and the norms of unit-size fields, stay far from overflow and underflow
+L_MIN, L_MAX = 1e-30, 1e30
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class GridSpec:
             raise ValueError("points per axis must be a power of two, at least 8")
         if self.N**self.n > MAX_POINTS:
             raise ValueError(f"a {self.N}^{self.n} grid is above the cap of 2^22 = {MAX_POINTS} points")
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError("box length must be positive and finite")
+        if not L_MIN <= self.L <= L_MAX:
+            raise ValueError(f"box length must lie in [{L_MIN:g}, {L_MAX:g}], got {self.L!r}")
 
     @property
     def h(self) -> float:
@@ -200,9 +202,9 @@ def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: f
     return spectral_inverse(F)
 
 
-def _signed_permutation(A: np.ndarray, tol: float = 1e-12) -> bool:
+def _signed_permutation(A: np.ndarray) -> bool:
     R = np.round(A)
-    if np.max(np.abs(A - R)) > tol:
+    if np.max(np.abs(A - R)) > 1e-12:
         return False
     P = np.abs(R)
     return bool(np.all(P.sum(axis=0) == 1) and np.all(P.sum(axis=1) == 1))

@@ -169,11 +169,7 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
     """|| f - P f || / || f || for P the subspace projection.  Raises
     ValueError on an all-zero field: there is nothing to check."""
-    den = np.linalg.norm(f.data)
-    if den == 0:
-        raise ValueError("membership residual of an all-zero field")
-    p = subspace_project(id, f)
-    return float(np.linalg.norm(f.data - p.data) / den)
+    return fl.rel_error(subspace_project(id, f), f)
 
 
 _DEFAULT_ALGEBRA = {2: "Cl2", 3: "H"}
@@ -244,13 +240,9 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
 
 
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
-    """Distance to the pointwise condition f = chi_sign(x/|x|) f."""
-    den = np.linalg.norm(f.data)
-    if den == 0:
-        raise ValueError("half-space residual of an all-zero field")
-    chi_arr = _chi_spatial_array(f, sign)
-    filtered = f.algebra.product(chi_arr, f.data)
-    return float(np.linalg.norm(f.data - filtered) / den)
+    """Distance to the pointwise condition f = chi_sign(x/|x|) f, relative
+    to || f ||; ValueError on an all-zero field."""
+    return fl.rel_error(f._like(f.algebra.product(_chi_spatial_array(f, sign), f.data)), f)
 
 
 def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId | None = None) -> fl.CliffordField:
@@ -288,11 +280,7 @@ def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
     ValueError when P f is identically zero: there is nothing to check."""
     s_ = _parse_sign(sign)
     p = hardy_project(s_, f)
-    den = np.linalg.norm(p.data)
-    if den == 0:
-        raise ValueError("Hardy projection of the field is identically zero")
-    hp = hilbert(p)
-    return float(np.linalg.norm(hp.data - s_ * p.data) / den)
+    return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 
 
 def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto") -> float:
@@ -425,10 +413,6 @@ def intertwiner_left_w(f: fl.CliffordField) -> fl.CliffordField:
 
 @dataclass
 class CommutantReport:
-    n: int
-    N: int
-    restriction: str
-    samples: int
     dimension: int
     singular_values: np.ndarray
     gap_ratio: float
@@ -455,12 +439,12 @@ def _bin_frequencies(n: int, L: float) -> np.ndarray:
     return np.array(out)
 
 
-def _restricted_matrix(M: np.ndarray, B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _restricted_matrix(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Compress a value-side matrix to the pair basis, checking that the
-    span is preserved."""
+    span is preserved to 1e-12."""
     proj = B @ B.conj().T
     leak = np.linalg.norm((np.eye(B.shape[0]) - proj) @ M @ B)
-    if leak > tol * max(np.linalg.norm(M @ B), 1.0):
+    if leak > 1e-12 * max(np.linalg.norm(M @ B), 1.0):
         raise ArithmeticError(f"value action leaves the pair span (leak {leak:.2e})")
     return B.conj().T @ M @ B
 
@@ -602,10 +586,6 @@ def commutant_dimension_experiment(
     else:
         note = "pair-restricted n=3: bin-stabilizer rotors pin the multipliers to span{identity, Hilbert}."
     return CommutantReport(
-        n=n,
-        N=spec.N,
-        restriction=restriction,
-        samples=samples,
         dimension=dimension,
         singular_values=sv,
         gap_ratio=gap_ratio,

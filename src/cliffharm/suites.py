@@ -14,6 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import wraps
 from math import isfinite, pi
 
 import numpy as np
@@ -62,8 +63,8 @@ class SuiteConfig:
             raise UsageError(f"N must be a power of two >= 8, got {self.N}")
         if self.n is not None and self.n not in (2, 3):
             raise UsageError(f"n must be 2 or 3, got {self.n}")
-        if self.L is not None and not (isfinite(self.L) and self.L > 0):
-            raise UsageError(f"L must be positive and finite, got {self.L}")
+        if self.L is not None and not fl.L_MIN <= self.L <= fl.L_MAX:
+            raise UsageError(f"L must lie in [{fl.L_MIN:g}, {fl.L_MAX:g}], got {self.L}")
         if self.seed < 0:
             raise UsageError(f"seed must be at least 0, got {self.seed}")
         if self.mode is not None and self.mode not in ("exact", "spectral"):
@@ -99,12 +100,32 @@ def _grid(cfg: SuiteConfig, n: int, N: int, L: float) -> fl.GridSpec:
     return fl.GridSpec(n, cfg.N or N, cfg.L or L)
 
 
+# suite name -> run_<suite>(cfg) returning (cases, extras), in definition order
+SUITES = {}
+
+
+def _suite(rows):
+    """Register rows(cfg, extras), a generator of (case, residual,
+    default_tol) that may fill extras, as SUITES[<suite>] for its name
+    run_<suite>.  The registered run_<suite>(cfg) builds every case before
+    it returns (cases, extras)."""
+    name = rows.__name__.removeprefix("run_")
+
+    @wraps(rows)
+    def run(cfg: SuiteConfig):
+        extras = {}
+        return [_case(cfg, name, *row) for row in rows(cfg, extras)], extras
+
+    SUITES[name] = run
+    return run
+
+
 # ---------------------------------------------------------------------------
 # algebra
 
-def run_algebra(cfg: SuiteConfig):
+@_suite
+def run_algebra(cfg: SuiteConfig, extras: dict):
     rng = np.random.default_rng(cfg.seed)
-    out = []
     worst = 0.0
     for name in ("Cl2", "Cl3", "H"):
         a = alg.get_algebra(name)
@@ -114,7 +135,7 @@ def run_algebra(cfg: SuiteConfig):
             sq = alg.geometric_product(e, e, a)
             sq[0] += 1.0
             worst = max(worst, alg.coeff_norm(sq))
-    out.append(_case(cfg, "algebra", "generators_square_to_minus_one", worst, 0.0))
+    yield "generators_square_to_minus_one", worst, 0.0
 
     worst = 0.0
     for name in ("Cl2", "Cl3"):
@@ -124,7 +145,7 @@ def run_algebra(cfg: SuiteConfig):
             l = alg.geometric_product(alg.geometric_product(x, y, a), z, a)
             r = alg.geometric_product(x, alg.geometric_product(y, z, a), a)
             worst = max(worst, alg.coeff_norm(l - r) / max(alg.coeff_norm(l), 1.0))
-    out.append(_case(cfg, "algebra", "associativity", worst, 1e-13))
+    yield "associativity", worst, 1e-13
 
     idems = [
         ("H", np.array([0.5, 0, 0, -0.5j])),
@@ -135,7 +156,7 @@ def run_algebra(cfg: SuiteConfig):
     for name, x in idems:
         sq = alg.geometric_product(x, x, name)
         worst = max(worst, alg.coeff_norm(sq - x))
-    out.append(_case(cfg, "algebra", "idempotents", worst, 1e-14))
+    yield "idempotents", worst, 1e-14
 
     worst = 0.0
     for ideal in alg.IdealId:
@@ -148,7 +169,7 @@ def run_algebra(cfg: SuiteConfig):
         e[alg.REFERENCE_AXIS_SLOT[ambient]] = 1.0
         prod = alg.geometric_product(e, g, a)
         worst = max(worst, alg.coeff_norm(prod - P @ prod) / alg.coeff_norm(prod))
-    out.append(_case(cfg, "algebra", "ideal_closure", worst, 1e-12))
+    yield "ideal_closure", worst, 1e-12
 
     worst = 0.0
     for ideal, lam in alg.IDEAL_AXIS_EIGENVALUE.items():
@@ -158,13 +179,13 @@ def run_algebra(cfg: SuiteConfig):
         e = np.zeros(a.dim)
         e[alg.REFERENCE_AXIS_SLOT[ambient]] = 1.0
         worst = max(worst, alg.coeff_norm(alg.geometric_product(e, g, a) - lam * g))
-    out.append(_case(cfg, "algebra", "axis_eigenvalues", worst, 1e-13))
+    yield "axis_eigenvalues", worst, 1e-13
 
     worst = 0.0
     for (name, j) in alg._PAIR_VECS:
         B = alg.pair_basis(name, j)
         worst = max(worst, float(np.linalg.norm(B.conj().T @ B - np.eye(2))))
-    out.append(_case(cfg, "algebra", "pair_orthonormal", worst, 1e-14))
+    yield "pair_orthonormal", worst, 1e-14
 
     worst = 0.0
     for _ in range(200):
@@ -176,7 +197,7 @@ def run_algebra(cfg: SuiteConfig):
         lhs = alg.phi_even_to_h(alg.geometric_product(x, y, "Cl3"))
         rhs = alg.geometric_product(alg.phi_even_to_h(x), alg.phi_even_to_h(y), "H")
         worst = max(worst, alg.coeff_norm(lhs - rhs) / max(alg.coeff_norm(lhs), 1.0))
-    out.append(_case(cfg, "algebra", "quaternion_view_homomorphism", worst, 1e-13))
+    yield "quaternion_view_homomorphism", worst, 1e-13
 
     worst = 0.0
     for dim in (4, 8):
@@ -184,24 +205,23 @@ def run_algebra(cfg: SuiteConfig):
             x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             back = alg.parse_multivector(alg.serialize_multivector(x))
             worst = max(worst, alg.coeff_norm(back - x))
-    out.append(_case(cfg, "algebra", "serialization_roundtrip", worst, 0.0))
-    return out, {}
+    yield "serialization_roundtrip", worst, 0.0
 
 
 # ---------------------------------------------------------------------------
 # spin
 
-def run_spin(cfg: SuiteConfig):
+@_suite
+def run_spin(cfg: SuiteConfig, extras: dict):
     rng = np.random.default_rng(cfg.seed)
-    out = []
     s90 = sp.spin2_from_angle(pi / 4)
     g = sp.compose(sp.GroupElement(2.0, s90, np.zeros(2)), sp.GroupElement(1.0, sp.identity_spin(2), np.array([1.0, 0.0])))
     res = abs(g.r - 2.0) + alg.coeff_norm(g.s.coeffs - s90.coeffs) + float(np.linalg.norm(g.b - np.array([0.0, 2.0])))
-    out.append(_case(cfg, "spin", "compose_example", res, 1e-12))
+    yield "compose_example", res, 1e-12
 
     gi = sp.inverse(sp.GroupElement(1.0, s90, np.array([1.0, 0.0])))
     res = abs(gi.r - 1.0) + alg.coeff_norm(gi.s.coeffs - s90.inverse().coeffs) + float(np.linalg.norm(gi.b - np.array([0.0, 1.0])))
-    out.append(_case(cfg, "spin", "inverse_example", res, 1e-12))
+    yield "inverse_example", res, 1e-12
 
     worst = 0.0
     for n in (2, 3):
@@ -210,7 +230,7 @@ def run_spin(cfg: SuiteConfig):
             A = sp.rotation_matrix(s)
             worst = max(worst, float(np.linalg.norm(A.T @ A - np.eye(n))))
             worst = max(worst, float(np.linalg.norm(sp.rotation_matrix(-s) - A)))
-    out.append(_case(cfg, "spin", "rotation_orthogonal_double_cover", worst, 1e-12))
+    yield "rotation_orthogonal_double_cover", worst, 1e-12
 
     worst = 0.0
     for n in (2, 3):
@@ -224,7 +244,7 @@ def run_spin(cfg: SuiteConfig):
             s = sp.section_s_omega(w)
             got = sp.rotation_matrix(s) @ ref
             worst = max(worst, float(np.linalg.norm(got - w)))
-    out.append(_case(cfg, "spin", "section_maps_reference_axis", worst, 1e-10))
+    yield "section_maps_reference_axis", worst, 1e-10
 
     worst = 0.0
     for n in (2, 3):
@@ -232,27 +252,26 @@ def run_spin(cfg: SuiteConfig):
             g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
             h = sp.parse_group_element(sp.serialize_group_element(g))
             worst = max(worst, 0.0 if sp.strictly_equal(g, h) else 1.0)
-    out.append(_case(cfg, "spin", "serialization_roundtrip", worst, 0.0))
-    return out, {}
+    yield "serialization_roundtrip", worst, 0.0
 
 
 # ---------------------------------------------------------------------------
 # spectral
 
-def run_spectral(cfg: SuiteConfig):
-    out = []
+@_suite
+def run_spectral(cfg: SuiteConfig, extras: dict):
     for n, N, L, algebra in ((2, 64, 12.0, "Cl2"), (3, 16, 10.0, "H")):
         if not cfg.wants(n):
             continue
         spec = _grid(cfg, n, N, L)
         f = fl.make_band_limited_random(spec, algebra, 0.3, cfg.seed + n)
         back = fl.spectral_inverse(fl.spectral_forward(f))
-        out.append(_case(cfg, "spectral", f"roundtrip_n{n}", fl.rel_error(back, f), 1e-13))
+        yield f"roundtrip_n{n}", fl.rel_error(back, f), 1e-13
 
         g = fl.make_band_limited_random(spec, algebra, 0.3, cfg.seed + 10 + n)
         lhs = fl.inner_product(f, g)
         rhs = fl.inner_product(fl.spectral_forward(f), fl.spectral_forward(g))
-        out.append(_case(cfg, "spectral", f"parseval_n{n}", abs(lhs - rhs) / abs(lhs), 1e-12))
+        yield f"parseval_n{n}", abs(lhs - rhs) / abs(lhs), 1e-12
 
         X = spec.coords()
         k = 2
@@ -265,7 +284,7 @@ def run_spectral(cfg: SuiteConfig):
         idx[0] = spec.N // 2 + k
         expect[tuple(idx) + (0,)] = spec.L ** n
         res = float(np.linalg.norm(F.data - expect) / np.linalg.norm(expect))
-        out.append(_case(cfg, "spectral", f"plane_wave_single_bin_n{n}", res, 1e-12))
+        yield f"plane_wave_single_bin_n{n}", res, 1e-12
 
     if cfg.wants(2):
         spec = fl.GridSpec(2, 128, 16.0)
@@ -277,22 +296,21 @@ def run_spectral(cfg: SuiteConfig):
         XI = spec.freqs()
         expect = np.exp(-pi * (XI[0] ** 2 + XI[1] ** 2))
         res = float(np.linalg.norm(F.data[..., 0] - expect) / np.linalg.norm(expect))
-        out.append(_case(cfg, "spectral", "gaussian_self_dual", res, 1e-10))
+        yield "gaussian_self_dual", res, 1e-10
 
         spec = _grid(cfg, 2, 32, 12.0)
         f = fl.make_band_limited_random(spec, "Cl2", 0.25, cfg.seed + 3)
         up = fl.spectral_upsample(f, 4)
         sl = tuple(slice(None, None, 4) for _ in range(2))
         res = float(np.linalg.norm(up.data[sl] - f.data) / np.linalg.norm(f.data))
-        out.append(_case(cfg, "spectral", "upsample_subsample_consistency", res, 1e-12))
-    return out, {}
+        yield "upsample_subsample_consistency", res, 1e-12
 
 
 # ---------------------------------------------------------------------------
 # hilbert
 
-def run_hilbert(cfg: SuiteConfig):
-    out = []
+@_suite
+def run_hilbert(cfg: SuiteConfig, extras: dict):
     for n, N, L, algebra in ((2, 64, 12.0, "Cl2"), (3, 32, 10.0, "Cl3")):
         if not cfg.wants(n):
             continue
@@ -302,20 +320,20 @@ def run_hilbert(cfg: SuiteConfig):
             f = fl.make_band_limited_random(spec, algebra, 0.3, cfg.seed + 100 * n + k)
             hh = tr.hilbert(tr.hilbert(f))
             worst = max(worst, fl.rel_error(hh, f))
-        out.append(_case(cfg, "hilbert", f"squared_identity_n{n}", worst, 1e-11))
+        yield f"squared_identity_n{n}", worst, 1e-11
 
         f = fl.make_band_limited_random(spec, algebra, 0.3, cfg.seed + n)
         a = tr.hilbert(f, route="multiplier")
         b = tr.hilbert(f, route="riesz_sum")
-        out.append(_case(cfg, "hilbert", f"dual_route_agreement_n{n}", fl.rel_error(a, b), 1e-13))
+        yield f"dual_route_agreement_n{n}", fl.rel_error(a, b), 1e-13
 
         res = abs(fl.norm(tr.hilbert(f)) - fl.norm(f)) / fl.norm(f)
-        out.append(_case(cfg, "hilbert", f"unitary_n{n}", res, 1e-12))
+        yield f"unitary_n{n}", res, 1e-12
 
         worst = 0.0
         for sgn in (1, -1):
             worst = max(worst, rep.hilbert_eigen_check(sgn, f))
-        out.append(_case(cfg, "hilbert", f"hardy_eigenrelation_n{n}", worst, 1e-10))
+        yield f"hardy_eigenrelation_n{n}", worst, 1e-10
 
     if cfg.wants(2):
         spec = _grid(cfg, 2, 64, 12.0)
@@ -328,7 +346,7 @@ def run_hilbert(cfg: SuiteConfig):
         expect = np.zeros_like(data)
         expect[..., 1] = np.cos(2 * pi * a * X[0])
         res = float(np.linalg.norm(hf.data - expect) / np.linalg.norm(expect))
-        out.append(_case(cfg, "hilbert", "axis_sine_to_cosine", res, 1e-12))
+        yield "axis_sine_to_cosine", res, 1e-12
 
         # principal-value quadrature oracle vs the spectral route, at the
         # reference configuration (kept pinned for reproducibility)
@@ -339,18 +357,16 @@ def run_hilbert(cfg: SuiteConfig):
         f = fl.CliffordField(spec, "Cl2", data)
         spectral = tr.riesz(0, f)
         quad = tr.pv_quadrature_riesz(0, f)
-        out.append(_case(cfg, "hilbert", "pv_quadrature_vs_spectral", fl.rel_error(quad, spectral), 1e-3))
-    return out, {}
+        yield "pv_quadrature_vs_spectral", fl.rel_error(quad, spectral), 1e-3
 
 
 # ---------------------------------------------------------------------------
 # plemelj
 
-def run_plemelj(cfg: SuiteConfig):
-    out = []
-    extras = {}
+@_suite
+def run_plemelj(cfg: SuiteConfig, extras: dict):
     if not cfg.wants(2):
-        return out, extras
+        return
     spec = _grid(cfg, 2, 64, 12.0)
     X = spec.coords()
     data = np.zeros(spec.shape + (4,), dtype=complex)
@@ -366,20 +382,19 @@ def run_plemelj(cfg: SuiteConfig):
         C = tr.cauchy_extend(f, x0)
         quad_target = tr.hardy_project(1, tr.poisson_extend(f, x0))
         qres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - quad_target.data)) / fnorm
-        out.append(_case(cfg, "plemelj", f"cauchy_quadrature_x0_{x0}", qres, 5e-4))
+        yield f"cauchy_quadrature_x0_{x0}", qres, 5e-4
         lres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - limit_target.data)) / fnorm
         limit_totals.append(lres)
         rows.append((x0, lres))
     mono = 0.0 if limit_totals[0] > limit_totals[1] > limit_totals[2] else 1.0
-    out.append(_case(cfg, "plemelj", "boundary_limit_monotone", mono, 0.0))
-    out.append(_case(cfg, "plemelj", "boundary_limit_final", limit_totals[-1], 5e-2))
+    yield "boundary_limit_monotone", mono, 0.0
+    yield "boundary_limit_final", limit_totals[-1], 5e-2
 
     wrong = tr.cauchy_extend(f, heights[-1], kernel_exponent=spec.n)
     wrong_total = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - limit_target.data)) / fnorm
     ratio = limit_totals[-1] / wrong_total
-    out.append(_case(cfg, "plemelj", "kernel_exponent_separates", ratio, 0.1))
+    yield "kernel_exponent_separates", ratio, 0.1
     extras["plemelj_rows"] = rows
-    return out, extras
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +406,8 @@ def _origin_zero(f: fl.CliffordField) -> fl.CliffordField:
     return g
 
 
-def run_subspaces(cfg: SuiteConfig):
-    out = []
+@_suite
+def run_subspaces(cfg: SuiteConfig, extras: dict):
     setups = []
     if cfg.wants(3):
         setups.append((_grid(cfg, 3, 16, 10.0), "H", rep.QUATERNION_SPATIAL_IDS, "quaternion"))
@@ -408,14 +423,14 @@ def run_subspaces(cfg: SuiteConfig):
             p = rep.subspace_project(sid, fz)
             pp = rep.subspace_project(sid, p)
             worst = max(worst, float(np.linalg.norm(pp.data - p.data) / np.linalg.norm(f.data)))
-        out.append(_case(cfg, "subspaces", f"idempotent_{label}", worst, 1e-12))
+        yield f"idempotent_{label}", worst, 1e-12
 
         proj = {sid: rep.subspace_project(sid, f).data for sid in ids}
         acc = np.zeros_like(f.data)
         for sid in ids:
             acc = acc + proj[sid]
         res = float(np.linalg.norm(acc - f.data) / np.linalg.norm(f.data))
-        out.append(_case(cfg, "subspaces", f"reconstruction_{label}", res, 1e-12))
+        yield f"reconstruction_{label}", res, 1e-12
 
         worst = 0.0
         for j in range(1, len(ids) // 2 + 1):
@@ -424,7 +439,7 @@ def run_subspaces(cfg: SuiteConfig):
             P = alg.pair_projector(algebra, j)
             ideal_component = np.einsum("ab,...b->...a", P, f.data)
             worst = max(worst, float(np.linalg.norm(both - ideal_component) / np.linalg.norm(f.data)))
-        out.append(_case(cfg, "subspaces", f"complementary_{label}", worst, 1e-12))
+        yield f"complementary_{label}", worst, 1e-12
 
     if cfg.wants(3):
         spec = _grid(cfg, 3, 16, 10.0)
@@ -433,7 +448,7 @@ def run_subspaces(cfg: SuiteConfig):
             m = rep.random_subspace_member(sid, spec, cfg.seed + 7)
             hm = tr.hilbert(m)
             worst = max(worst, float(np.linalg.norm(hm.data - sgn * m.data) / np.linalg.norm(m.data)))
-        out.append(_case(cfg, "subspaces", "qhardy_hilbert_eigenrelation", worst, 1e-10))
+        yield "qhardy_hilbert_eigenrelation", worst, 1e-10
 
         f = fl.make_band_limited_random(spec, "H", 0.3, cfg.seed + 9)
         base = rep.subspace_project(rep.SubspaceId.TildeH1Plus, f)
@@ -447,8 +462,7 @@ def run_subspaces(cfg: SuiteConfig):
             float(np.linalg.norm(gauged.data - base.data) / np.linalg.norm(f.data)),
             float(np.linalg.norm(gauged2.data - base.data) / np.linalg.norm(f.data)),
         )
-        out.append(_case(cfg, "subspaces", "section_independence", res, 1e-12))
-    return out, {}
+        yield "section_independence", res, 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +488,8 @@ def _grid_preserving_samples(spec: fl.GridSpec, rng, count: int):
     return out
 
 
-def run_representation(cfg: SuiteConfig):
-    out = []
+@_suite
+def run_representation(cfg: SuiteConfig, extras: dict):
     setups = []
     if cfg.wants(3):
         setups.append((_grid(cfg, 3, 16, 10.0), "H"))
@@ -493,7 +507,7 @@ def run_representation(cfg: SuiteConfig):
             worst = 0.0
             for g in _grid_preserving_samples(spec, rng, 10):
                 worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
-            out.append(_case(cfg, "representation", f"natrep_unitary_grid_n{n}", worst, 1e-12))
+            yield f"natrep_unitary_grid_n{n}", worst, 1e-12
 
         if want_spectral:
             # off-grid translations leave the mode set fixed up to unit
@@ -502,13 +516,13 @@ def run_representation(cfg: SuiteConfig):
             for _ in range(3):
                 g = sp.GroupElement(1.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
                 worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
-            out.append(_case(cfg, "representation", f"natrep_unitary_spectral_n{n}", worst, 1e-10))
+            yield f"natrep_unitary_spectral_n{n}", worst, 1e-10
 
         if want_exact:
             g1, g2 = _grid_preserving_samples(spec, rng, 2)
             lhs = rep.natural_rep(g1, rep.natural_rep(g2, f))
             rhs = rep.natural_rep(sp.compose(g1, g2), f)
-            out.append(_case(cfg, "representation", f"natrep_composition_n{n}", fl.rel_error(lhs, rhs), 1e-10))
+            yield f"natrep_composition_n{n}", fl.rel_error(lhs, rhs), 1e-10
 
         if want_spectral:
             g = sp.GroupElement(2.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
@@ -522,35 +536,34 @@ def run_representation(cfg: SuiteConfig):
             F.data = F.data * even[..., None]
             direct = rep.natural_rep_spectral(g, F)
             conj = fl.spectral_forward(rep.natural_rep(g, fl.spectral_inverse(F)))
-            out.append(_case(cfg, "representation", f"natrep_spectral_agreement_n{n}", fl.rel_error(direct, conj), 1e-10))
+            yield f"natrep_spectral_agreement_n{n}", fl.rel_error(direct, conj), 1e-10
 
         if want_exact:
             worst = 0.0
             for g in _grid_preserving_samples(spec, rng, 8):
                 worst = max(worst, rep.commutation_residual(g, f))
-            out.append(_case(cfg, "representation", f"hilbert_commutation_grid_n{n}", worst, 1e-12))
+            yield f"hilbert_commutation_grid_n{n}", worst, 1e-12
 
         if want_spectral:
             worst = 0.0
             for _ in range(5):
                 g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
                 worst = max(worst, rep.commutation_residual(g, f, mode="modes"))
-            out.append(_case(cfg, "representation", f"hilbert_commutation_modes_n{n}", worst, 1e-8))
+            yield f"hilbert_commutation_modes_n{n}", worst, 1e-8
 
         worst = 0.0
         for _ in range(500):
             s = sp.random_spin(n, rng)
             xi = rng.standard_normal(n)
             worst = max(worst, rep.multiplier_equivariance_residual(s, xi, algebra))
-        out.append(_case(cfg, "representation", f"multiplier_equivariance_n{n}", worst, 1e-13))
+        yield f"multiplier_equivariance_n{n}", worst, 1e-13
 
         quarter = _grid_preserving_samples(spec, rng, 1)[0].s
         if want_exact:
-            out.append(_case(cfg, "representation", f"riesz_covariance_grid_n{n}",
-                             rep.riesz_covariance_residual(quarter, f, mode="grid"), 1e-12))
+            yield f"riesz_covariance_grid_n{n}", rep.riesz_covariance_residual(quarter, f, mode="grid"), 1e-12
         if want_spectral:
-            out.append(_case(cfg, "representation", f"riesz_covariance_modes_n{n}",
-                             rep.riesz_covariance_residual(sp.random_spin(n, rng), f, mode="modes"), 1e-8))
+            res = rep.riesz_covariance_residual(sp.random_spin(n, rng), f, mode="modes")
+            yield f"riesz_covariance_modes_n{n}", res, 1e-8
 
     if cfg.wants(3):
         spec = _grid(cfg, 3, 16, 10.0)
@@ -566,7 +579,7 @@ def run_representation(cfg: SuiteConfig):
         g = sp.GroupElement(1.0, quarter, rng.standard_normal(3))
         img = rep.induced_rep(-1, g, member, subspace=rep.SubspaceId.TildeH1Minus)
         worst = max(worst, rep.subspace_membership_residual(rep.SubspaceId.TildeH1Minus, img))
-        out.append(_case(cfg, "representation", "induced_preserves_subspace", worst, 1e-10))
+        yield "induced_preserves_subspace", worst, 1e-10
 
         bad = fl.make_band_limited_random(spec, "H", 0.3, cfg.seed + 77)
         try:
@@ -574,27 +587,25 @@ def run_representation(cfg: SuiteConfig):
             res = 1.0
         except rep.SubspaceMembershipError as err:
             res = 0.0 if err.residual > 1e-3 else 1.0
-        out.append(_case(cfg, "representation", "induced_membership_guard", res, 0.0))
-    return out, {}
+        yield "induced_membership_guard", res, 0.0
 
 
 # ---------------------------------------------------------------------------
 # intertwiners
 
-def run_intertwiners(cfg: SuiteConfig):
-    out = []
+@_suite
+def run_intertwiners(cfg: SuiteConfig, extras: dict):
     rng = np.random.default_rng(cfg.seed)
     if cfg.wants(3):
         spec = _grid(cfg, 3, 16, 10.0)
         member = rep.random_subspace_member(rep.SubspaceId.TildeH1Plus, spec, cfg.seed + 1)
         moved = rep.intertwiner_right_e1(member)
         res = rep.subspace_membership_residual(rep.SubspaceId.TildeH2Plus, moved)
-        out.append(_case(cfg, "intertwiners", "right_e1_transfers_pair", res, 1e-10))
-        out.append(_case(cfg, "intertwiners", "right_e1_isometry",
-                         abs(fl.norm(moved) - fl.norm(member)) / fl.norm(member), 1e-12))
+        yield "right_e1_transfers_pair", res, 1e-10
+        yield "right_e1_isometry", abs(fl.norm(moved) - fl.norm(member)) / fl.norm(member), 1e-12
         twice = rep.intertwiner_right_e1(moved)
-        out.append(_case(cfg, "intertwiners", "right_e1_squared_negates",
-                         float(np.linalg.norm(twice.data + member.data) / np.linalg.norm(member.data)), 1e-13))
+        res = float(np.linalg.norm(twice.data + member.data) / np.linalg.norm(member.data))
+        yield "right_e1_squared_negates", res, 1e-13
 
         f = fl.make_band_limited_random(spec, "Cl3", 0.3, cfg.seed + 2)
         worst = 0.0
@@ -603,33 +614,30 @@ def run_intertwiners(cfg: SuiteConfig):
             lhs = rep.intertwiner_left_w(fl.left_multiply_constant(s.coeffs, f))
             rhs = fl.left_multiply_constant(s.coeffs, rep.intertwiner_left_w(f))
             worst = max(worst, float(np.linalg.norm(lhs.data - rhs.data) / np.linalg.norm(f.data)))
-        out.append(_case(cfg, "intertwiners", "left_w_commutes_with_spins", worst, 1e-13))
+        yield "left_w_commutes_with_spins", worst, 1e-13
 
     if cfg.wants(2):
         spec = _grid(cfg, 2, 32, 12.0)
         f = fl.make_band_limited_random(spec, "Cl2", 0.3, cfg.seed + 3)
         rho = rep.rho_conjugation_n2(f)
-        out.append(_case(cfg, "intertwiners", "rho_isometry",
-                         abs(fl.norm(rho) - fl.norm(f)) / fl.norm(f), 1e-12))
+        yield "rho_isometry", abs(fl.norm(rho) - fl.norm(f)) / fl.norm(f), 1e-12
         plus = tr.hardy_project(1, f)
         swapped = rep.rho_conjugation_n2(plus)
         res = rep.subspace_membership_residual(rep.SubspaceId.HardyMinus, swapped)
-        out.append(_case(cfg, "intertwiners", "rho_swaps_hardy_halves", res, 1e-10))
+        yield "rho_swaps_hardy_halves", res, 1e-10
         member = rep.random_subspace_member(rep.SubspaceId.TildeTildeH1Plus, spec, cfg.seed + 4)
         res = rep.subspace_membership_residual(rep.SubspaceId.TildeTildeH1Minus, rep.rho_conjugation_n2(member))
-        out.append(_case(cfg, "intertwiners", "rho_swaps_spatial_halves", res, 1e-10))
+        yield "rho_swaps_spatial_halves", res, 1e-10
         twice = rep.rho_conjugation_n2(rho)
-        out.append(_case(cfg, "intertwiners", "rho_squared_negates",
-                         float(np.linalg.norm(twice.data + f.data) / np.linalg.norm(f.data)), 1e-14))
-    return out, {}
+        yield "rho_squared_negates", float(np.linalg.norm(twice.data + f.data) / np.linalg.norm(f.data)), 1e-14
 
 
 # ---------------------------------------------------------------------------
 # commutant
 
-def run_commutant(cfg: SuiteConfig):
-    out = []
-    extras = {"commutant_sv": {}, "commutant_notes": {}}
+@_suite
+def run_commutant(cfg: SuiteConfig, extras: dict):
+    extras.update(commutant_sv={}, commutant_notes={})
     configs = []
     if cfg.wants(3):
         configs.append(("n3_S2", _grid(cfg, 3, 16, 10.0), "S2", 2))
@@ -640,32 +648,20 @@ def run_commutant(cfg: SuiteConfig):
         report = rep.commutant_dimension_experiment(spec, restriction=restriction, samples=8, seed=cfg.seed)
         extras["commutant_sv"][label] = report.singular_values
         extras["commutant_notes"][label] = f"dimension={report.dimension} gap_ratio={report.gap_ratio:.2e}; {report.note}"
-        out.append(_case(cfg, "commutant", f"{label}_dimension", abs(report.dimension - expected), 0.0))
-        out.append(_case(cfg, "commutant", f"{label}_identity_in_nullspace", report.i_residual, 1e-8))
-        out.append(_case(cfg, "commutant", f"{label}_hilbert_in_nullspace", report.h_residual, 1e-8))
-        out.append(_case(cfg, "commutant", f"{label}_sanity_combination", report.sanity_residual, 1e-12))
-        out.append(_case(cfg, "commutant", f"{label}_well_sampled", 1.0 if report.under_sampled else 0.0, 0.0))
+        yield f"{label}_dimension", abs(report.dimension - expected), 0.0
+        yield f"{label}_identity_in_nullspace", report.i_residual, 1e-8
+        yield f"{label}_hilbert_in_nullspace", report.h_residual, 1e-8
+        yield f"{label}_sanity_combination", report.sanity_residual, 1e-12
+        yield f"{label}_well_sampled", 1.0 if report.under_sampled else 0.0, 0.0
 
     toy = rep.translations_force_multiplier_toy(8, seed=cfg.seed)
-    out.append(_case(cfg, "commutant", "toy_shift_commutant_dimension", abs(toy.dimension - toy.expected), 0.0))
-    out.append(_case(cfg, "commutant", "toy_members_fourier_diagonal", toy.offdiagonal_residual, 1e-10))
-    return out, extras
+    yield "toy_shift_commutant_dimension", abs(toy.dimension - toy.expected), 0.0
+    yield "toy_members_fourier_diagonal", toy.offdiagonal_residual, 1e-10
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-SUITES = {
-    "algebra": run_algebra,
-    "spin": run_spin,
-    "spectral": run_spectral,
-    "hilbert": run_hilbert,
-    "plemelj": run_plemelj,
-    "subspaces": run_subspaces,
-    "representation": run_representation,
-    "intertwiners": run_intertwiners,
-    "commutant": run_commutant,
-}
 SUITE_NAMES = tuple(SUITES)
 
 

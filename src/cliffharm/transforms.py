@@ -67,12 +67,16 @@ def _parse_sign(sign) -> int:
 
 
 def hilbert_multiplier_at(xi, value_algebra: str | None = None) -> np.ndarray:
-    """The multivector i xi/|xi|; undefined at xi = 0."""
+    """The multivector i xi/|xi|; undefined at xi = 0.  A xi whose |xi|^2
+    overflows or is subnormal is first scaled by 1/max|xi_j|."""
     xi = np.asarray(xi, dtype=float)
     if value_algebra is None:
         value_algebra = "Cl3" if xi.shape[0] == 3 else "Cl2"
-    if np.linalg.norm(xi) == 0:
+    if not xi.any():
         raise ZeroDivisionError("the Hilbert symbol has no value at xi = 0")
+    with np.errstate(over="ignore"):
+        if not np.finfo(float).tiny <= xi @ xi < np.inf:
+            xi = xi / np.max(np.abs(xi))
     return _symbol(xi[:, None], value_algebra, 0, 1j)[0]
 
 

@@ -28,6 +28,15 @@ def test_grid_spec_validation():
     assert spec.freq_axis()[spec.N // 2] == 0.0
 
 
+def test_grid_spec_takes_box_lengths_in_its_documented_range():
+    assert (fl.L_MIN, fl.L_MAX) == (1e-30, 1e30)
+    for L in (fl.L_MIN, fl.L_MAX):
+        assert fl.GridSpec(3, 16, L).L == L
+    for L in (fl.L_MIN / 2, 2 * fl.L_MAX, 1e100, 1e-160, 1e160):
+        with pytest.raises(ValueError, match="box length must lie in"):
+            fl.GridSpec(2, 16, L)
+
+
 def test_grid_spec_caps_the_point_count():
     for n, N in ((2, 4096), (3, 256)):
         with pytest.raises(ValueError, match="cap of 2\\^22"):

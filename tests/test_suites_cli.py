@@ -35,6 +35,31 @@ def test_registry_covers_every_suite_name():
     assert set(suites.SUITES) == set(suites.SUITE_NAMES)
 
 
+SUITE_ORDER = ("algebra", "spin", "spectral", "hilbert", "plemelj", "subspaces", "representation",
+               "intertwiners", "commutant")
+# the suites that fill extras, and the keys they fill
+EXTRAS = {"plemelj": {"plemelj_rows"}, "commutant": {"commutant_sv", "commutant_notes"}}
+
+
+def test_suites_register_in_the_documented_order():
+    assert suites.SUITE_NAMES == SUITE_ORDER
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_each_registered_suite_is_its_run_function(name):
+    run = suites.SUITES[name]
+    assert getattr(suites, f"run_{name}") is run
+    assert run.__name__ == f"run_{name}"
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_each_suite_reports_rows_under_its_own_name(name):
+    cases, extras = suites.SUITES[name](suites.SuiteConfig(suite=name, n=2))
+    assert isinstance(cases, list) and cases
+    assert {r.suite for r in cases} == {name}
+    assert set(extras) == EXTRAS.get(name, set())
+
+
 def test_run_suite_in_process_smoke():
     cfg = suites.SuiteConfig(suite="algebra")
     results, extras = suites.run_suite(cfg)
@@ -151,6 +176,12 @@ def test_cli_rejects_parallel_below_one(value, tmp_path):
         (("--n", "x"), None),
         ((), "sede = 5"),
         ((), "emit_plots = out"),
+        (("--L", "1e160"), None),
+        (("--L", "1e-160", "--suite", "plemelj"), None),
+        (("--L", "1e100", "--suite", "representation"), None),
+        (("--out", os.path.join(os.path.dirname(__file__), "no_such_dir", "report.jsonl")), None),
+        (("--out", os.path.dirname(__file__)), None),
+        (("--emit-plots", __file__), None),
     ],
 )
 def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
@@ -354,6 +385,19 @@ def test_cli_transform_refuses_non_finite_box_length(tmp_path):
     assert res.returncode == 2, res.stderr
     assert any(line.startswith("error:") for line in res.stderr.splitlines()), res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("L, op", [(1e160, "hilbert"), (1e-160, "cauchy:0.2"), (1e100, "chi:+")])
+def test_cli_transform_refuses_a_box_length_out_of_range(L, op, tmp_path):
+    doc = {"format": "CLF1", "n": 2, "N": 8, "L": L, "value_algebra": "Cl2", "values": [[[1.0, 0.0]] * 4] * 64}
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    (tmp_path / "in.clf").write_bytes(fl.MAGIC + struct.pack("<IId", 2, 8, L) + bytes(16 * 8 * 8 * 4))
+    for name in ("in.json", "in.clf"):
+        res = run_cli("transform", op, tmp_path / name, tmp_path / "out.clf")
+        assert res.returncode == 2, (name, res.stderr)
+        assert res.stderr.startswith("error:") and "box length" in res.stderr, (name, res.stderr)
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "out.clf").exists()
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,34 @@ def test_pointwise_symbol_matches_array():
         tr.hilbert_multiplier_at(np.zeros(3))
 
 
+@pytest.mark.parametrize("xi", [[1e300, 0.0], [1e-200, 0.0], [3e-170, 4e-170], [1e200, -2e200, 2e200],
+                                [-5e-324, 0.0], [1.7e308, 1.7e308]])
+def test_symbol_at_extreme_frequencies_is_i_times_the_direction(xi):
+    """|xi|^2 overflows or is subnormal at these xi; the symbol is still
+    i xi/|xi|, worked out here on the exactly rescaled vector."""
+    xi = np.array(xi)
+    u = xi / np.max(np.abs(xi))
+    want = np.zeros(8 if len(xi) == 3 else 4, dtype=complex)
+    want[1:len(xi) + 1] = 1j * u / np.sqrt(u @ u)
+    got = tr.hilbert_multiplier_at(xi)
+    assert np.allclose(got, want, rtol=0, atol=1e-15), (got, want)
+    with pytest.raises(ZeroDivisionError):
+        tr.hilbert_multiplier_at(np.zeros_like(xi))
+    with pytest.raises(ZeroDivisionError):
+        tr.hilbert_multiplier_at(-np.zeros_like(xi))
+
+
+def test_symbol_at_ordinary_frequencies_is_not_rescaled():
+    """Away from overflow and underflow of |xi|^2 the symbol is computed from
+    xi itself, bit for bit as the grid symbol builder does."""
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            xi = scale * rng.standard_normal(n)
+            want = tr._symbol(xi[:, None], "Cl3" if n == 3 else "Cl2", 0, 1j)[0]
+            assert np.array_equal(tr.hilbert_multiplier_at(xi), want)
+
+
 @pytest.mark.parametrize("n,N,value_algebra", [(2, 32, "Cl2"), (3, 16, "H"), (3, 16, "Cl3")])
 def test_symbol_on_listed_modes_equals_the_grid_arrays(n, N, value_algebra):
     spec = fl.GridSpec(n, N, 10.0)
