@@ -14,7 +14,6 @@ def main():
     X = spec.coords()
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
-    f.meta["band_limit"] = spec.N / (2 * spec.L)
     fnorm = fl.norm(f)
     half_sum = 0.5 * (f.data + tr.hilbert(f).data)
     print("Cauchy integral of a wide Gaussian, evaluated at decreasing heights;")

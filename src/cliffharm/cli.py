@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: verify (run suites), transform (apply operators to field
-files), plemelj and commutant (single-experiment shortcuts), info.
+files), info.
 Exit codes: 0 all cases passed, 1 at least one failure, 2 usage or I/O
 error.  Config precedence is CLI flags > config file > defaults; the
 environment variable CLIFFORD_HILBERT_SEED supplies the seed when neither
@@ -31,7 +31,6 @@ OPTIONS = {
     "N": (int, "grid points per axis (power of two)"),
     "L": (float, "period length"),
     "seed": (int, "random seed"),
-    "mode": (str, "exact | spectral (representation checks)"),
     "out": (str, "write JSON-lines report here"),
     "parallel": (int, "run suites concurrently"),
 }
@@ -67,7 +66,7 @@ def _read_config_file(path):
     return opts, tols
 
 
-def _build_config(args, suite_override=None) -> su.SuiteConfig:
+def _build_config(args) -> su.SuiteConfig:
     """Each option from its flag, else the config file, else (seed only)
     CLIFFORD_HILBERT_SEED, else the SuiteConfig default."""
     file_opts, tols = _read_config_file(args.config) if args.config else ({}, {})
@@ -79,8 +78,6 @@ def _build_config(args, suite_override=None) -> su.SuiteConfig:
             if source.get(name) is not None:
                 values[name] = _cast(kind, source[name], what)
                 break
-    if suite_override:
-        values["suite"] = suite_override
     for item in args.tol or []:
         if "=" not in item:
             raise su.UsageError(f"--tol expects CASE=VALUE, got {item!r}")
@@ -90,8 +87,8 @@ def _build_config(args, suite_override=None) -> su.SuiteConfig:
     return su.SuiteConfig(**values, tol_overrides=tols)
 
 
-def _run_verify(args, suite_override=None) -> int:
-    cfg = _build_config(args, suite_override)
+def _run_verify(args) -> int:
+    cfg = _build_config(args)
     if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
         raise su.UsageError(f"report path {cfg.out!r} is a directory or lies in no existing directory")
     if args.emit_plots:
@@ -148,7 +145,7 @@ def _parse_op(opspec: str):
             ideal = alg.IdealId[rest]
         except KeyError as err:
             raise su.UsageError(f"unknown subspace or ideal id {rest!r}") from err
-        return lambda f: fl.CliffordField(f.spec, f.value_algebra, alg.ideal_project(f.data, ideal), f.meta)
+        return lambda f: f._like(alg.ideal_project(f.data, ideal))
     raise su.UsageError(
         f"unknown operation {head!r}; expected hilbert | riesz:j | chi:+|- | "
         f"poisson:x0 | cauchy:x0 | natrep:g | project:id"
@@ -176,17 +173,6 @@ def _run_info() -> int:
     return 0
 
 
-def _add_common(q, with_suite: bool) -> None:
-    for name, (_, text) in OPTIONS.items():
-        if with_suite or name != "suite":
-            q.add_argument(f"--{name}", default=None, help=text)
-    q.add_argument("--config", default=None, help="flat key=value config file")
-    q.add_argument("--tol", action="append", default=None, metavar="CASE=VALUE",
-                   help="loosen one case tolerance (repeatable)")
-    q.add_argument("--emit-plots", dest="emit_plots", default=None, metavar="DIR",
-                   help="write CSV companions for plotting")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cliffharm",
@@ -196,18 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites")
-    _add_common(v, with_suite=True)
+    for name, (_, text) in OPTIONS.items():
+        v.add_argument(f"--{name}", default=None, help=text)
+    v.add_argument("--config", default=None, help="flat key=value config file")
+    v.add_argument("--tol", action="append", default=None, metavar="CASE=VALUE",
+                   help="loosen one case tolerance (repeatable)")
+    v.add_argument("--emit-plots", dest="emit_plots", default=None, metavar="DIR",
+                   help="write CSV companions for plotting")
 
     t = sub.add_parser("transform", help="apply an operator to a stored field")
     t.add_argument("op", help="hilbert | riesz:j | chi:+|- | poisson:x0 | cauchy:x0 | natrep:g | project:id")
     t.add_argument("input", help="input field file")
     t.add_argument("output", help="output field file")
-
-    pl = sub.add_parser("plemelj", help="boundary-limit experiment (verify --suite plemelj)")
-    _add_common(pl, with_suite=False)
-
-    cm = sub.add_parser("commutant", help="commutant-dimension experiment (verify --suite commutant)")
-    _add_common(cm, with_suite=False)
 
     sub.add_parser("info", help="print version and registry information")
     return p
@@ -219,10 +205,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(args)
-        if args.command == "plemelj":
-            return _run_verify(args, suite_override="plemelj")
-        if args.command == "commutant":
-            return _run_verify(args, suite_override="commutant")
         if args.command == "transform":
             return _run_transform(args)
         if args.command == "info":

@@ -72,7 +72,7 @@ class GridSpec:
 
 
 class _FieldBase:
-    def __init__(self, spec: GridSpec, value_algebra: str, data: np.ndarray, meta: dict | None = None):
+    def __init__(self, spec: GridSpec, value_algebra: str, data: np.ndarray):
         a = alg.get_algebra(value_algebra)
         if alg.SPATIAL_DIM[value_algebra] != spec.n:
             raise ValueError(f"value algebra {value_algebra} pairs with n={alg.SPATIAL_DIM[value_algebra]}")
@@ -82,17 +82,16 @@ class _FieldBase:
         self.spec = spec
         self.value_algebra = value_algebra
         self.data = data
-        self.meta = dict(meta or {})
 
     @property
     def algebra(self) -> alg.Algebra:
         return alg.get_algebra(self.value_algebra)
 
     def copy(self):
-        return type(self)(self.spec, self.value_algebra, self.data.copy(), dict(self.meta))
+        return self._like(self.data.copy())
 
-    def _like(self, data, meta=None):
-        return type(self)(self.spec, self.value_algebra, data, self.meta if meta is None else meta)
+    def _like(self, data):
+        return type(self)(self.spec, self.value_algebra, data)
 
 
 class CliffordField(_FieldBase):
@@ -115,7 +114,7 @@ def spectral_forward(f: CliffordField) -> SpectralField:
     shifted = np.fft.ifftshift(f.data, axes=axes)
     out = np.fft.fftshift(np.fft.fftn(shifted, axes=axes, out=shifted), axes=axes)
     out *= (spec.L / spec.N) ** spec.n
-    return SpectralField(spec, f.value_algebra, out, f.meta)
+    return SpectralField(spec, f.value_algebra, out)
 
 
 def spectral_inverse(F: SpectralField) -> CliffordField:
@@ -124,7 +123,7 @@ def spectral_inverse(F: SpectralField) -> CliffordField:
     shifted = np.fft.ifftshift(F.data, axes=axes)
     out = np.fft.fftshift(np.fft.ifftn(shifted, axes=axes, out=shifted), axes=axes)
     out *= (spec.N / spec.L) ** spec.n
-    return CliffordField(spec, F.value_algebra, out, F.meta)
+    return CliffordField(spec, F.value_algebra, out)
 
 
 def inner_product(f, g) -> complex:
@@ -198,8 +197,7 @@ def make_band_limited_random(spec: GridSpec, value_algebra: str, bandfraction: f
     if not mask.any():
         raise ValueError(f"band fraction {bandfraction} holds no frequency bin on a {spec.N}-point grid")
     data *= mask[..., None]
-    F = SpectralField(spec, value_algebra, data, {"band_limit": bandfraction * ximax, "zero_mean": True})
-    return spectral_inverse(F)
+    return spectral_inverse(SpectralField(spec, value_algebra, data))
 
 
 def _signed_permutation(A: np.ndarray) -> bool:
@@ -216,7 +214,9 @@ def is_grid_preserving(g: GroupElement, spec: GridSpec) -> bool:
     if not _signed_permutation(rotation_matrix(g.s)):
         return False
     steps = g.b / spec.h
-    return bool(np.max(np.abs(steps - np.round(steps))) <= 1e-9)
+    # a step count whose float spacing exceeds 1e-9 is not resolved by that test (from
+    # 2^53 up every float is an integer): such a shift takes the trigonometric path
+    return bool(np.max(np.spacing(np.abs(steps))) <= 1e-9 and np.max(np.abs(steps - np.round(steps))) <= 1e-9)
 
 
 def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
@@ -226,7 +226,7 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     the samples exactly.  Any other g takes the trigonometric path: the
     field's occupied frequency modes xi_m, with coefficients c_m, are summed
     at the points y = r A^-1 x + b, (r, A, b) from g^-1.  That is exact for
-    band-limited data; non-band-limited input gets an approximation flag.
+    band-limited data and an approximation otherwise.
 
     The points are an affine image of the tensor grid, so each phase splits
     as e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
@@ -250,8 +250,7 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
             y_a = y_a + ginv.b[a_]
             j = np.round((y_a + spec.L / 2) / spec.h).astype(int) % spec.N
             out_idx.append(j)
-        data = f.data[tuple(out_idx)]
-        return CliffordField(spec, f.value_algebra, data, f.meta)
+        return f._like(f.data[tuple(out_idx)])
 
     F = spectral_forward(f)
     occ, xi = occupied_modes(F)
@@ -270,16 +269,7 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
         for a_ in range(1, n - 1):
             left *= E[a_][lead[a_][blk]]
         np.matmul(left, W, out=rows[blk])
-    meta = dict(f.meta)
-    if f.meta.get("band_limit") is None:
-        meta["approximation_mode"] = True
-    return CliffordField(spec, f.value_algebra, out, meta)
-
-
-def shift_cells(f: CliffordField, steps) -> CliffordField:
-    """Exact periodic shift by whole cells, one step count per axis."""
-    data = np.roll(f.data, shift=tuple(int(s) for s in steps), axis=tuple(range(f.spec.n)))
-    return CliffordField(f.spec, f.value_algebra, data, f.meta)
+    return f._like(out)
 
 
 def spectral_upsample(f: CliffordField, factor: int) -> CliffordField:
@@ -297,7 +287,7 @@ def spectral_upsample(f: CliffordField, factor: int) -> CliffordField:
     off = (fine.N - spec.N) // 2
     sl = tuple(slice(off, off + spec.N) for _ in range(spec.n))
     big[sl] = F.data
-    return spectral_inverse(SpectralField(fine, f.value_algebra, big, F.meta))
+    return spectral_inverse(SpectralField(fine, f.value_algebra, big))
 
 
 def write_field_binary(f, path) -> None:

@@ -236,7 +236,7 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
     phase = np.exp(-2j * np.pi * (xi_out @ g.b)) * g.r ** (-spec.n / 2)
     G = np.zeros_like(F.data)
     G[tuple(idx.astype(int).T)] = phase[:, None] * vals
-    return fl.SpectralField(spec, F.value_algebra, G, F.meta)
+    return F._like(G)
 
 
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
@@ -329,9 +329,10 @@ def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | No
     return float(np.linalg.norm(lhs - rhs))
 
 
-def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "auto") -> float:
+def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str) -> float:
     """max_j || rot R_j rot^-1 f - sum_k A_jk R_k f || / ||f|| for the plain
-    rotation action (no value factor).  Mode mode evaluates the scalar symbol
+    rotation action (no value factor).  Grid mode resamples on the grid, which
+    is exact for a quarter-turn s.  Mode mode evaluates the scalar symbol
     identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes.  Raises
     ValueError on an all-zero field."""
     spec = f.spec
@@ -342,8 +343,6 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str = "
         raise ValueError("covariance residual of an all-zero field")
     A = rotation_matrix(s)
     rot = GroupElement(1.0, s.inverse(), np.zeros(spec.n))
-    if mode == "auto":
-        mode = "grid" if fl.is_grid_preserving(rot, spec) else "modes"
     if mode == "grid":
         unrotated = fl.resample_action(GroupElement(1.0, s, np.zeros(spec.n)), f)
         R = [riesz(k, f).data for k in range(spec.n)]
@@ -423,6 +422,10 @@ class CommutantReport:
     note: str
 
 
+# seeded random group samples added to the exact constraint rows
+_COMMUTANT_SAMPLES = 8
+
+
 def _left_mult_matrix(c: np.ndarray, algebra_name: str) -> np.ndarray:
     a = get_algebra(algebra_name)
     return a.product(c, np.eye(a.dim)).T
@@ -452,7 +455,6 @@ def _restricted_matrix(M: np.ndarray, B: np.ndarray) -> np.ndarray:
 def commutant_dimension_experiment(
     spec: fl.GridSpec,
     restriction: str = "S2",
-    samples: int = 8,
     seed=0,
 ) -> CommutantReport:
     """Estimate the dimension of the space of operators commuting with the
@@ -486,7 +488,8 @@ def commutant_dimension_experiment(
         return _restricted_matrix(M, B) if B is not None else M
 
     def find_bin(xi):
-        dist = np.linalg.norm(bins - xi, axis=1)
+        # distances in bin units: the bins are k/L
+        dist = np.linalg.norm(bins - xi, axis=1) * spec.L
         k = int(np.argmin(dist))
         return k if dist[k] < 1e-9 else None
 
@@ -530,7 +533,7 @@ def commutant_dimension_experiment(
         add_element(1.0, quarter_turn(None))
 
     rng = np.random.default_rng(seed)
-    for k in range(samples):
+    for k in range(_COMMUTANT_SAMPLES):
         if n == 3:
             if k % 2 == 0:
                 axis = np.zeros(3)
@@ -570,7 +573,7 @@ def commutant_dimension_experiment(
     sanity = float(np.max(np.abs(R @ v_sanity)) / max(np.max(np.abs(v_sanity)), 1.0))
 
     raw_rows = sum(b.shape[0] for b in rows)
-    under = samples == 0 or raw_rows < ncols or gap_ratio < 1e-4
+    under = raw_rows < ncols or gap_ratio < 1e-4
     if n == 2:
         note = (
             "n=2: the even value subalgebra is commutative, so the constant "

@@ -49,7 +49,6 @@ class SuiteConfig:
     N: int | None = None
     L: float | None = None
     seed: int = DEFAULT_SEED
-    mode: str | None = None
     tol_overrides: dict = field(default_factory=dict)
     parallel: int = 1
     out: str | None = None
@@ -67,8 +66,6 @@ class SuiteConfig:
             raise UsageError(f"L must lie in [{fl.L_MIN:g}, {fl.L_MAX:g}], got {self.L}")
         if self.seed < 0:
             raise UsageError(f"seed must be at least 0, got {self.seed}")
-        if self.mode is not None and self.mode not in ("exact", "spectral"):
-            raise UsageError(f"mode must be exact or spectral, got {self.mode!r}")
         if self.parallel < 1:
             raise UsageError(f"parallel must be at least 1, got {self.parallel}")
         for k, v in self.tol_overrides.items():
@@ -496,60 +493,52 @@ def run_representation(cfg: SuiteConfig, extras: dict):
     if cfg.wants(2):
         setups.append((_grid(cfg, 2, 32, 12.0), "Cl2"))
 
-    want_exact = cfg.mode in (None, "exact")
-    want_spectral = cfg.mode in (None, "spectral")
     for spec, algebra in setups:
         n = spec.n
         rng = np.random.default_rng(cfg.seed + n)
         f = fl.make_band_limited_random(spec, algebra, 0.2, cfg.seed + n)
 
-        if want_exact:
-            worst = 0.0
-            for g in _grid_preserving_samples(spec, rng, 10):
-                worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
-            yield f"natrep_unitary_grid_n{n}", worst, 1e-12
+        worst = 0.0
+        for g in _grid_preserving_samples(spec, rng, 10):
+            worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
+        yield f"natrep_unitary_grid_n{n}", worst, 1e-12
 
-        if want_spectral:
-            # off-grid translations leave the mode set fixed up to unit
-            # phases, so the norm is preserved through the slow resample path
-            worst = 0.0
-            for _ in range(3):
-                g = sp.GroupElement(1.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
-                worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
-            yield f"natrep_unitary_spectral_n{n}", worst, 1e-10
+        # off-grid translations leave the mode set fixed up to unit
+        # phases, so the norm is preserved through the slow resample path
+        worst = 0.0
+        for _ in range(3):
+            g = sp.GroupElement(1.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
+            worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
+        yield f"natrep_unitary_spectral_n{n}", worst, 1e-10
 
-        if want_exact:
-            g1, g2 = _grid_preserving_samples(spec, rng, 2)
-            lhs = rep.natural_rep(g1, rep.natural_rep(g2, f))
-            rhs = rep.natural_rep(sp.compose(g1, g2), f)
-            yield f"natrep_composition_n{n}", fl.rel_error(lhs, rhs), 1e-10
+        g1, g2 = _grid_preserving_samples(spec, rng, 2)
+        lhs = rep.natural_rep(g1, rep.natural_rep(g2, f))
+        rhs = rep.natural_rep(sp.compose(g1, g2), f)
+        yield f"natrep_composition_n{n}", fl.rel_error(lhs, rhs), 1e-10
 
-        if want_spectral:
-            g = sp.GroupElement(2.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
-            # keep only even-offset modes so every image bin (1/2) A xi lands
-            # on the grid and the direct assembly path is the one under test
-            F = fl.spectral_forward(f)
-            K = np.indices(spec.shape)
-            even = np.ones(spec.shape, dtype=bool)
-            for a_ in range(n):
-                even &= (K[a_] - spec.N // 2) % 2 == 0
-            F.data = F.data * even[..., None]
-            direct = rep.natural_rep_spectral(g, F)
-            conj = fl.spectral_forward(rep.natural_rep(g, fl.spectral_inverse(F)))
-            yield f"natrep_spectral_agreement_n{n}", fl.rel_error(direct, conj), 1e-10
+        g = sp.GroupElement(2.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
+        # keep only even-offset modes so every image bin (1/2) A xi lands
+        # on the grid and the direct assembly path is the one under test
+        F = fl.spectral_forward(f)
+        K = np.indices(spec.shape)
+        even = np.ones(spec.shape, dtype=bool)
+        for a_ in range(n):
+            even &= (K[a_] - spec.N // 2) % 2 == 0
+        F.data = F.data * even[..., None]
+        direct = rep.natural_rep_spectral(g, F)
+        conj = fl.spectral_forward(rep.natural_rep(g, fl.spectral_inverse(F)))
+        yield f"natrep_spectral_agreement_n{n}", fl.rel_error(direct, conj), 1e-10
 
-        if want_exact:
-            worst = 0.0
-            for g in _grid_preserving_samples(spec, rng, 8):
-                worst = max(worst, rep.commutation_residual(g, f))
-            yield f"hilbert_commutation_grid_n{n}", worst, 1e-12
+        worst = 0.0
+        for g in _grid_preserving_samples(spec, rng, 8):
+            worst = max(worst, rep.commutation_residual(g, f))
+        yield f"hilbert_commutation_grid_n{n}", worst, 1e-12
 
-        if want_spectral:
-            worst = 0.0
-            for _ in range(5):
-                g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
-                worst = max(worst, rep.commutation_residual(g, f, mode="modes"))
-            yield f"hilbert_commutation_modes_n{n}", worst, 1e-8
+        worst = 0.0
+        for _ in range(5):
+            g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
+            worst = max(worst, rep.commutation_residual(g, f, mode="modes"))
+        yield f"hilbert_commutation_modes_n{n}", worst, 1e-8
 
         worst = 0.0
         for _ in range(500):
@@ -559,11 +548,9 @@ def run_representation(cfg: SuiteConfig, extras: dict):
         yield f"multiplier_equivariance_n{n}", worst, 1e-13
 
         quarter = _grid_preserving_samples(spec, rng, 1)[0].s
-        if want_exact:
-            yield f"riesz_covariance_grid_n{n}", rep.riesz_covariance_residual(quarter, f, mode="grid"), 1e-12
-        if want_spectral:
-            res = rep.riesz_covariance_residual(sp.random_spin(n, rng), f, mode="modes")
-            yield f"riesz_covariance_modes_n{n}", res, 1e-8
+        yield f"riesz_covariance_grid_n{n}", rep.riesz_covariance_residual(quarter, f, mode="grid"), 1e-12
+        res = rep.riesz_covariance_residual(sp.random_spin(n, rng), f, mode="modes")
+        yield f"riesz_covariance_modes_n{n}", res, 1e-8
 
     if cfg.wants(3):
         spec = _grid(cfg, 3, 16, 10.0)
@@ -645,7 +632,7 @@ def run_commutant(cfg: SuiteConfig, extras: dict):
     if cfg.wants(2):
         configs.append(("n2_S2", _grid(cfg, 2, 16, 12.0), "S2", 4))
     for label, spec, restriction, expected in configs:
-        report = rep.commutant_dimension_experiment(spec, restriction=restriction, samples=8, seed=cfg.seed)
+        report = rep.commutant_dimension_experiment(spec, restriction=restriction, seed=cfg.seed)
         extras["commutant_sv"][label] = report.singular_values
         extras["commutant_notes"][label] = f"dimension={report.dimension} gap_ratio={report.gap_ratio:.2e}; {report.note}"
         yield f"{label}_dimension", abs(report.dimension - expected), 0.0

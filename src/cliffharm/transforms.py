@@ -59,9 +59,9 @@ def chi_multiplier_array(spec: fl.GridSpec, value_algebra: str, sign: int) -> np
 
 
 def _parse_sign(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
+    if sign in (1, "+"):
         return 1
-    if sign in (-1, "-", "minus"):
+    if sign in (-1, "-"):
         return -1
     raise ValueError(f"sign must be + or -, got {sign!r}")
 
@@ -246,7 +246,7 @@ def pv_quadrature_riesz(j: int, f: fl.CliffordField) -> fl.CliffordField:
         S.append(_correlate([K], scalar, fu)[(slice(None, None, factor),) * spec.n])
     A = 2 * S[1] - S[0]
     B = 2 * S[2] - S[1]
-    return fl.CliffordField(spec, f.value_algebra, (8 * B - A) / 7, f.meta)
+    return f._like((8 * B - A) / 7)
 
 
 def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = None) -> fl.CliffordField:
@@ -273,4 +273,4 @@ def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = 
     if not np.isfinite(C).all():
         # the kernel underflows at an on-grid image point for a tiny x0 and overflows for a huge one
         raise ValueError(f"the Cauchy integral at height {x0!r} is not finite")
-    return fl.CliffordField(spec, f.value_algebra, C, f.meta)
+    return f._like(C)

@@ -136,7 +136,6 @@ def test_ac05_quadrature_cross_check(verdict):
     X = spec.coords()
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2))
-    f.meta["band_limit"] = spec.N / (2 * spec.L)
     res = fl.rel_error(tr.pv_quadrature_riesz(0, f), tr.riesz(0, f))
     verdict(5, res < 1e-3, f"principal-value quadrature vs spectral route at (n=2, N=128, L=16): "
                             f"{res:.2e} (tol 1e-3)")
@@ -147,7 +146,6 @@ def test_ac06_boundary_limit(verdict):
     X = spec.coords()
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
-    f.meta["band_limit"] = spec.N / (2 * spec.L)
     half_sum = 0.5 * (f.data + tr.hilbert(f).data)
     fnorm = fl.norm(f)
     totals = []

@@ -78,7 +78,7 @@ def test_run_suite_in_process_smoke():
         {"L": -1.0},
         {"L": float("nan")},
         {"seed": -1},
-        {"mode": "sideways"},
+        {"L": float("inf")},
         {"tol_overrides": {"some_case": -1.0}},
         {"parallel": 0},
         {"tol_overrides": {"some_case": float("nan")}},
@@ -182,6 +182,7 @@ def test_cli_rejects_parallel_below_one(value, tmp_path):
         (("--out", os.path.join(os.path.dirname(__file__), "no_such_dir", "report.jsonl")), None),
         (("--out", os.path.dirname(__file__)), None),
         (("--emit-plots", __file__), None),
+        ((), "mode = exact"),
     ],
 )
 def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
@@ -195,6 +196,22 @@ def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
     assert p.stdout == ""
     if config:
         assert f"conf.ini:2: unknown key {config.split()[0]!r}" in p.stderr
+
+
+@pytest.mark.parametrize("argv", [("verify", "--mode", "exact"), ("plemelj",), ("commutant",)])
+def test_cli_has_no_mode_flag_and_no_suite_shortcuts(argv):
+    p = run_cli(*argv)
+    assert p.returncode == 2
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize("L", ["1e30", "1e-30"])
+def test_cli_commutant_passes_at_both_ends_of_the_box_length_range(L):
+    # the bins are k/L: matched within 1e-9 in absolute frequency units, off-bin
+    # frequencies would pass at L = 1e30 and no bin at all at L = 1e-30
+    p = run_cli("verify", "--suite", "commutant", "--L", L)
+    assert p.returncode == 0, p.stdout
+    assert p.stderr == ""
 
 
 def test_cli_rejects_tightened_tolerance():

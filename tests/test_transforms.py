@@ -7,6 +7,7 @@ import pytest
 
 from cliffharm import algebra as alg
 from cliffharm import fields as fl
+from cliffharm import spin as sp
 from cliffharm import transforms as tr
 
 
@@ -134,8 +135,9 @@ def test_axis_sine_maps_to_vector_cosine():
 def test_hilbert_commutes_with_cell_shifts():
     spec = fl.GridSpec(2, 32, 12.0)
     f = fl.make_band_limited_random(spec, "Cl2", 0.4, 21)
-    lhs = tr.hilbert(fl.shift_cells(f, (3, -5)))
-    rhs = fl.shift_cells(tr.hilbert(f), (3, -5))
+    g = sp.GroupElement(1.0, sp.identity_spin(2), spec.h * np.array([3.0, -5.0]))
+    lhs = tr.hilbert(fl.resample_action(g, f))
+    rhs = fl.resample_action(g, tr.hilbert(f))
     assert fl.rel_error(lhs, rhs) < 1e-13
 
 
@@ -229,7 +231,6 @@ def test_pv_quadrature_reproduces_the_multiplier_route():
     X = spec.coords()
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2))
-    f.meta["band_limit"] = spec.N / (2 * spec.L)
     q = tr.pv_quadrature_riesz(0, f)
     assert fl.rel_error(q, tr.riesz(0, f)) < 1e-4
 
@@ -241,7 +242,6 @@ def test_cauchy_extension_matches_damped_projection():
     X = spec.coords()
     f = fl.zero_field(spec, "Cl2")
     f.data[..., 0] = np.exp(-np.pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
-    f.meta["band_limit"] = spec.N / (2 * spec.L)
     C = tr.cauchy_extend(f, 0.4)
     target = tr.hardy_project("+", tr.poisson_extend(f, 0.4))
     diff = fl.CliffordField(spec, "Cl2", C.data - target.data)
