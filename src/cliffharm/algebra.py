@@ -100,12 +100,12 @@ class Algebra:
         throughout a block of _SYMBOL_BLOCK points is skipped there, so a
         Fourier symbol with n + 1 of its dim blades live costs n + 1 passes.
 
-        On symbols with a real scalar and imaginary vector coefficients each
-        term is one rounded product, and the result equals `product` bit for
+        When every coefficient of m is purely real or purely imaginary
+        (Fourier symbols, rotors, basis constants, vector embeddings) each
+        term is one rounded product and the result equals `product` bit for
         bit.  On general complex m numpy's complex multiply (which fuses
         multiply-adds) rounds differently from the einsum in `product`, by
-        about 1e-16 relative, which is why `product`, bit-identical to the
-        dense contraction, stays the general kernel."""
+        about 1e-16 relative, so `product` stays the general kernel."""
         m = np.asarray(m)
         b = np.asarray(b)
         lead = np.broadcast_shapes(m.shape[:-1], b.shape[:-1])

@@ -157,7 +157,8 @@ def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:
 
 
 def left_multiply_constant(c: np.ndarray, f):
-    return f._like(f.algebra.product(c, f.data))
+    """c f through Algebra.symbol_product; see there for when it equals product bit for bit."""
+    return f._like(f.algebra.symbol_product(c, f.data))
 
 
 def right_multiply_constant(f, c: np.ndarray):
@@ -223,9 +224,12 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     """Samples of x -> f(g^{-1} x).
 
     Grid-preserving g (r=1, axis quarter-turn spin, on-grid shift) permutes
-    the samples exactly.  Any other g takes the trigonometric path: the
-    field's occupied frequency modes xi_m, with coefficients c_m, are summed
-    at the points y = r A^-1 x + b, (r, A, b) from g^-1.  That is exact for
+    the samples exactly: row a of A^-1 has one nonzero entry, at column b,
+    so source index a is one integer vector over output axis b, shaped to
+    broadcast along that axis, and the n vectors gather f.data in one fancy
+    index.  Any other g takes the trigonometric path: the field's occupied
+    frequency modes xi_m, with coefficients c_m, are summed at the points
+    y = r A^-1 x + b, (r, A, b) from g^-1.  That is exact for
     band-limited data and an approximation otherwise.
 
     The points are an affine image of the tensor grid, so each phase splits
@@ -243,14 +247,12 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     A_inv = rotation_matrix(ginv.s)
 
     if is_grid_preserving(g, spec):
-        K = np.indices(spec.shape)
-        out_idx = []
-        for a_ in range(spec.n):
-            y_a = sum(ginv.r * A_inv[a_, b_] * (-spec.L / 2 + spec.h * K[b_]) for b_ in range(spec.n))
-            y_a = y_a + ginv.b[a_]
+        idx = []
+        for a_, b_ in enumerate(np.argmax(np.abs(A_inv), axis=1)):
+            y_a = ginv.r * A_inv[a_, b_] * spec.axis() + ginv.b[a_]
             j = np.round((y_a + spec.L / 2) / spec.h).astype(int) % spec.N
-            out_idx.append(j)
-        return f._like(f.data[tuple(out_idx)])
+            idx.append(j.reshape([-1 if k == b_ else 1 for k in range(spec.n)]))
+        return f._like(f.data[tuple(idx)])
 
     F = spectral_forward(f)
     occ, xi = occupied_modes(F)

@@ -21,7 +21,6 @@ from . import fields as fl
 from .algebra import (
     SPATIAL_DIM,
     get_algebra,
-    geometric_product,
     pair_basis,
     pair_projector,
     phi_even_to_h,
@@ -204,9 +203,8 @@ def natural_rep(g: GroupElement, f: fl.CliffordField) -> fl.CliffordField:
         raise ValueError("group element dimension does not match the field")
     if is_strict_identity(g):
         return f.copy()
-    moved = fl.resample_action(g, f)
-    out = fl.left_multiply_constant(spin_value_coefficients(g.s, f.value_algebra), moved)
-    out.data = out.data * g.r ** (-f.spec.n / 2)
+    out = fl.left_multiply_constant(spin_value_coefficients(g.s, f.value_algebra), fl.resample_action(g, f))
+    out.data *= g.r ** (-f.spec.n / 2)
     return out
 
 
@@ -229,10 +227,8 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
     idx = np.round(pos)
     on_grid = np.max(np.abs(pos - idx)) <= 1e-9 and idx.min() >= 0 and idx.max() < spec.N
     if not on_grid:
-        out = fl.spectral_forward(natural_rep(g, fl.spectral_inverse(F)))
-        return out
-    sval = spin_value_coefficients(g.s, F.value_algebra)
-    vals = geometric_product(sval, F.data[tuple(occ.T)], F.algebra)
+        return fl.spectral_forward(natural_rep(g, fl.spectral_inverse(F)))
+    vals = F.algebra.symbol_product(spin_value_coefficients(g.s, F.value_algebra), F.data[tuple(occ.T)])
     phase = np.exp(-2j * np.pi * (xi_out @ g.b)) * g.r ** (-spec.n / 2)
     G = np.zeros_like(F.data)
     G[tuple(idx.astype(int).T)] = phase[:, None] * vals
@@ -309,8 +305,9 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
     c = F.data[tuple(occ.T)]
     sval = spin_value_coefficients(g.s, f.value_algebra)
     a = f.algebra
-    lhs = geometric_product(_symbol(eta.T, f.value_algebra, 0, 1j), geometric_product(sval, c, a), a)
-    rhs = geometric_product(sval, geometric_product(_symbol(xi.T, f.value_algebra, 0, 1j), c, a), a)
+    # every left factor is a rotor or an i xi/|xi| symbol: the blade loop rounds as product does
+    lhs = a.symbol_product(_symbol(eta.T, f.value_algebra, 0, 1j), a.symbol_product(sval, c))
+    rhs = a.symbol_product(sval, a.symbol_product(_symbol(xi.T, f.value_algebra, 0, 1j), c))
     num2 = float(np.sum(np.abs(lhs - rhs) ** 2))
     den2 = float(np.sum(np.abs(c) ** 2))
     return float(np.sqrt(num2 / den2))
@@ -324,8 +321,8 @@ def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | No
     a = get_algebra(value_algebra)
     A = rotation_matrix(s)
     sval = spin_value_coefficients(s, value_algebra)
-    lhs = geometric_product(hilbert_multiplier_at(A @ xi, value_algebra), sval, a)
-    rhs = geometric_product(sval, hilbert_multiplier_at(xi, value_algebra), a)
+    lhs = a.product(hilbert_multiplier_at(A @ xi, value_algebra), sval)
+    rhs = a.product(sval, hilbert_multiplier_at(xi, value_algebra))
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -489,12 +489,13 @@ def _grid_preserving_samples(spec: fl.GridSpec, rng, count: int):
 def run_representation(cfg: SuiteConfig, extras: dict):
     setups = []
     if cfg.wants(3):
-        setups.append((_grid(cfg, 3, 16, 10.0), "H"))
+        setups.append((_grid(cfg, 3, 16, 10.0), "H", 10.0))
     if cfg.wants(2):
-        setups.append((_grid(cfg, 2, 32, 12.0), "Cl2"))
+        setups.append((_grid(cfg, 2, 32, 12.0), "Cl2", 12.0))
 
-    for spec, algebra in setups:
+    for spec, algebra, L0 in setups:
         n = spec.n
+        unit = spec.L / L0  # off-grid shifts scale with the box; exactly 1.0 at the default
         rng = np.random.default_rng(cfg.seed + n)
         f = fl.make_band_limited_random(spec, algebra, 0.2, cfg.seed + n)
 
@@ -507,7 +508,7 @@ def run_representation(cfg: SuiteConfig, extras: dict):
         # phases, so the norm is preserved through the slow resample path
         worst = 0.0
         for _ in range(3):
-            g = sp.GroupElement(1.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
+            g = sp.GroupElement(1.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n) * unit)
             worst = max(worst, abs(fl.norm(rep.natural_rep(g, f)) - fl.norm(f)) / fl.norm(f))
         yield f"natrep_unitary_spectral_n{n}", worst, 1e-10
 
@@ -516,7 +517,7 @@ def run_representation(cfg: SuiteConfig, extras: dict):
         rhs = rep.natural_rep(sp.compose(g1, g2), f)
         yield f"natrep_composition_n{n}", fl.rel_error(lhs, rhs), 1e-10
 
-        g = sp.GroupElement(2.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n))
+        g = sp.GroupElement(2.0, _grid_preserving_samples(spec, rng, 1)[0].s, rng.standard_normal(n) * unit)
         # keep only even-offset modes so every image bin (1/2) A xi lands
         # on the grid and the direct assembly path is the one under test
         F = fl.spectral_forward(f)
@@ -536,7 +537,7 @@ def run_representation(cfg: SuiteConfig, extras: dict):
 
         worst = 0.0
         for _ in range(5):
-            g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
+            g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n) * unit)
             worst = max(worst, rep.commutation_residual(g, f, mode="modes"))
         yield f"hilbert_commutation_modes_n{n}", worst, 1e-8
 

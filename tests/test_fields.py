@@ -429,3 +429,49 @@ def test_value_algebra_must_match_spatial_dimension():
         fl.zero_field(fl.GridSpec(2, 16, 8.0), "Cl3")
     with pytest.raises(ValueError):
         fl.zero_field(fl.GridSpec(3, 16, 8.0), "Cl2")
+
+
+def _quarter_turn_rotors(n):
+    """Both rotors of every rotation that permutes the coordinate axes with
+    signs (orientation kept): 4 rotations for n = 2, the cube's 24 for n = 3."""
+    if n == 2:
+        turns = [sp.spin2_from_angle(k * np.pi / 4) for k in range(4)]
+    else:
+        gens = [sp.spin3_from_axis_angle(e, np.pi / 2) for e in np.eye(3)]
+        turns, seen = [sp.identity_spin(3)], set()
+        for s in turns:  # grows while it is walked: closes the set under the generators
+            for t in (s * q for q in gens):
+                key = tuple(np.rint(sp.rotation_matrix(t)).astype(int).ravel())
+                if key not in seen:
+                    seen.add(key)
+                    turns.append(t)
+        turns = turns[1:]
+    return turns + [-s for s in turns]
+
+
+def _permuted_by_integer_oracle(s, steps, f):
+    """f(g^-1 x) for g = (1, s, h steps), point by point in integers: grid
+    offset k - N/2 maps to R^-1 (k - N/2 - steps), R the rounded rotation."""
+    N = f.spec.N
+    R = np.rint(sp.rotation_matrix(s)).astype(int)
+    k = np.indices(f.spec.shape).reshape(f.spec.n, -1).T
+    src = ((k - N // 2 - steps) @ R + N // 2) % N  # row form of R^T (k - N/2 - steps)
+    return f.data[tuple(src.T)].reshape(f.data.shape)
+
+
+@pytest.mark.parametrize("n, N, L", [(2, 16, 7.3), (3, 8, 10.0)])
+def test_exact_permutation_matches_a_per_point_integer_oracle(n, N, L):
+    spec = fl.GridSpec(n, N, L)
+    rng = np.random.default_rng(31)
+    value_algebra = "Cl2" if n == 2 else "Cl3"
+    shape = spec.shape + (alg.get_algebra(value_algebra).dim,)
+    f = fl.CliffordField(spec, value_algebra, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    rotors = _quarter_turn_rotors(n)
+    assert len(rotors) == (8 if n == 2 else 48)
+    edge = np.where(np.arange(n) % 2, -2 * N, 2 * N)
+    shifts = [np.zeros(n, int), edge, -edge] + [rng.integers(-2 * N, 2 * N + 1, size=n) for _ in range(3)]
+    for s in rotors:
+        for steps in shifts:
+            g = sp.GroupElement(1.0, s, spec.h * steps)
+            assert fl.is_grid_preserving(g, spec)
+            assert np.array_equal(fl.resample_action(g, f).data, _permuted_by_integer_oracle(s, steps, f))

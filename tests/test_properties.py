@@ -165,6 +165,37 @@ def test_symbol_product_matches_the_product_kernel_and_the_oracle(algebra, point
             assert alg.coeff_norm(result[p] - np.array(want)) <= 1e-12 * max(alg.coeff_norm(want), 1.0)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.sampled_from([("Cl2", 2, 2), ("H", 2, 3), ("Cl3", 3, 3)]),
+    st.sampled_from(["rotor", "basis", "vector", "real_or_imaginary"]),
+    st.data(),
+)
+def test_left_multiply_constant_matches_the_product_kernel_and_the_oracle(algebra, kind, data):
+    name, gens, n = algebra
+    a = alg.get_algebra(name)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # 64 to 4096 points: one block of the blade loop, or two
+    spec = fl.GridSpec(n, data.draw(st.sampled_from([8, 32, 64] if n == 2 else [8, 16])), 10.0)
+    f = fl.CliffordField(spec, name, rng.standard_normal(spec.shape + (a.dim,))
+                         + 1j * rng.standard_normal(spec.shape + (a.dim,)))
+    if kind == "rotor":
+        c = rep.spin_value_coefficients(sp.random_spin(n, rng), name)
+    elif kind == "basis":
+        c = rep._ONE_MINUS_E123 if name == "Cl3" else rep._E2E1
+    elif kind == "vector":
+        c = alg.vector_embed(np.eye(n)[int(rng.integers(n))], name, n)
+    else:  # each coefficient zero, real or imaginary: the condition the blade loop needs
+        c = rng.standard_normal(a.dim) * rng.choice([0, 1, 1j], size=a.dim)
+
+    got = fl.left_multiply_constant(c, f).data.reshape(-1, a.dim)
+    assert np.array_equal(got, a.product(c, f.data).reshape(-1, a.dim))
+    for p in rng.choice(len(got), size=8, replace=False):
+        want = oracle.mv_to_coeffs(oracle.mv_mul(oracle.mv_from_coeffs(c, gens),
+                                                 oracle.mv_from_coeffs(f.data.reshape(-1, a.dim)[p], gens)), gens)
+        assert alg.coeff_norm(got[p] - np.array(want)) <= 1e-12 * max(alg.coeff_norm(want), 1.0)
+
+
 # the text a user may put after an operator's ':' or a config key's '='
 WORDS = ["+", "-", "0", "1", "2", "-1", "0.5", "16", "all", "spin", "exact", "spectral", "r.jsonl"]
 IDS = [*(s.value for s in rep.SubspaceId), *(i.name for i in alg.IdealId)]

@@ -388,3 +388,57 @@ def test_section_is_refused_for_fourier_side_ids(id):
     f = fl.make_band_limited_random(_spec(3), "H", 0.3, 5)
     with pytest.raises(ValueError, match="not a spatial subspace"):
         rp.subspace_project(id, f, section=sp.section_s_omega)
+
+
+def _constants_each_caller_passes():
+    """(algebra, constant) for every kind of left factor the library hands to
+    left_multiply_constant: rotor values, the two basis constants and vector
+    embeddings."""
+    rng = np.random.default_rng(41)
+    out = [pytest.param("Cl2", rp._E2E1, id="e2e1"), pytest.param("Cl3", rp._ONE_MINUS_E123, id="1-e123")]
+    for va, n in (("Cl2", 2), ("Cl3", 3), ("H", 3)):
+        out += [pytest.param(va, rp.spin_value_coefficients(sp.random_spin(n, rng), va), id=f"{va}-rotor{k}")
+                for k in range(3)]
+        out += [pytest.param(va, alg.vector_embed(e, va, n), id=f"{va}-e{j + 1}") for j, e in enumerate(np.eye(n))]
+    return out
+
+
+@pytest.mark.parametrize("value_algebra,c", _constants_each_caller_passes())
+def test_left_multiply_constant_equals_the_product_kernel_bit_for_bit(value_algebra, c):
+    n = alg.SPATIAL_DIM[value_algebra]
+    # 4096 points: two blocks of the blade loop, eight of the product kernel
+    spec = fl.GridSpec(n, 64 if n == 2 else 16, 10.0)
+    rng = np.random.default_rng(42)
+    shape = spec.shape + (alg.get_algebra(value_algebra).dim,)
+    f = fl.CliffordField(spec, value_algebra, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = fl.left_multiply_constant(c, f)
+    assert np.array_equal(got.data, f.algebra.product(c, f.data))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_route_and_mode_residual_equal_their_geometric_product_forms(n):
+    spec, value_algebra = _spec(n), "Cl2" if n == 2 else "H"
+    f = fl.make_band_limited_random(spec, value_algebra, 0.3, 43)
+    F = fl.spectral_forward(f)
+    occ, xi = fl.occupied_modes(F)
+    c = F.data[tuple(occ.T)]
+    rng = np.random.default_rng(44)
+    quarter = _quarter_turn(n)
+    for s in (quarter, quarter * quarter, -quarter):
+        # on-grid assembly: quarter turns map bins onto bins
+        g = sp.GroupElement(1.0, s, rng.standard_normal(n))
+        xi_out = xi @ sp.rotation_matrix(s).T
+        vals = alg.geometric_product(rp.spin_value_coefficients(s, value_algebra), c, value_algebra)
+        bins = tuple(np.round(xi_out * spec.L + spec.N / 2).astype(int).T)
+        want = np.zeros_like(F.data)
+        want[bins] = np.exp(-2j * np.pi * (xi_out @ g.b))[:, None] * vals
+        assert np.array_equal(rp.natural_rep_spectral(g, F).data, want)
+    for _ in range(3):
+        g = sp.GroupElement(float(rng.uniform(0.5, 2.0)), sp.random_spin(n, rng), rng.standard_normal(n))
+        sval = rp.spin_value_coefficients(g.s, value_algebra)
+        eta = (xi @ sp.rotation_matrix(g.s).T) / g.r
+        gp = lambda x, y: alg.geometric_product(x, y, value_algebra)  # noqa: E731
+        lhs = gp(tr._symbol(eta.T, value_algebra, 0, 1j), gp(sval, c))
+        rhs = gp(sval, gp(tr._symbol(xi.T, value_algebra, 0, 1j), c))
+        want = float(np.sqrt(float(np.sum(np.abs(lhs - rhs) ** 2)) / float(np.sum(np.abs(c) ** 2))))
+        assert rp.commutation_residual(g, f, mode="modes") == want

@@ -214,6 +214,15 @@ def test_cli_commutant_passes_at_both_ends_of_the_box_length_range(L):
     assert p.stderr == ""
 
 
+@pytest.mark.parametrize("L", [1e30, 1e-30])
+def test_representation_suite_passes_at_both_ends_of_the_box_length_range(L):
+    # off-grid shifts are drawn in units of the default box: a unit shift is a
+    # vanishing fraction of a 1e30 box and wraps it many times at 1e-30
+    results, _ = suites.run_suite(suites.SuiteConfig(suite="representation", L=L))
+    assert len(results) == 20
+    assert [r.case for r in results if not r.passed] == []
+
+
 def test_cli_rejects_tightened_tolerance():
     p = run_cli("verify", "--suite", "algebra", "--tol", "associativity=1e-30")
     assert p.returncode == 2
