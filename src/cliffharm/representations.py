@@ -29,7 +29,6 @@ from .spin import (
     GroupElement,
     SpinElement,
     identity_spin,
-    is_strict_identity,
     rotation_matrix,
     spin2_from_angle,
     spin3_from_axis_angle,
@@ -201,8 +200,6 @@ def natural_rep(g: GroupElement, f: fl.CliffordField) -> fl.CliffordField:
     L2-normalizing dilation power.  Exact when g preserves the grid."""
     if g.n != f.spec.n:
         raise ValueError("group element dimension does not match the field")
-    if is_strict_identity(g):
-        return f.copy()
     out = fl.left_multiply_constant(spin_value_coefficients(g.s, f.value_algebra), fl.resample_action(g, f))
     out.data *= g.r ** (-f.spec.n / 2)
     return out
@@ -279,7 +276,7 @@ def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
     return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 
 
-def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto") -> float:
+def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str) -> float:
     """|| H(lam(g) f) - lam(g)(H f) || / ||f||.
 
     Grid mode runs both operator orders on the grid (exact for
@@ -290,8 +287,6 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str = "auto
     den = np.linalg.norm(f.data)
     if den == 0:
         raise ValueError("commutation residual of an all-zero field")
-    if mode == "auto":
-        mode = "grid" if fl.is_grid_preserving(g, f.spec) else "modes"
     if mode == "grid":
         a = hilbert(natural_rep(g, f))
         b = natural_rep(g, hilbert(f))
@@ -422,31 +417,46 @@ class CommutantReport:
 # seeded random group samples added to the exact constraint rows
 _COMMUTANT_SAMPLES = 8
 
+_COMMUTANT_NOTES = {
+    (2, "S2"): (
+        "n=2: the even value subalgebra is commutative, so the constant "
+        "left factor e2e1 also commutes with the action; on the "
+        "pair-restricted space the commutant contains identity, Hilbert, "
+        "that factor, and their product."
+    ),
+    (3, "S2"): "pair-restricted n=3: bin-stabilizer rotors pin the multipliers to span{identity, Hilbert}.",
+    (3, "full"): (
+        "full value space: right multiplications commute with the left "
+        "action, enlarging the commutant beyond identity and Hilbert."
+    ),
+}
+_COMMUTANT_NOTES[2, "full"] = _COMMUTANT_NOTES[2, "S2"]
+
 
 def _left_mult_matrix(c: np.ndarray, algebra_name: str) -> np.ndarray:
     a = get_algebra(algebra_name)
     return a.product(c, np.eye(a.dim)).T
 
 
-def _bin_frequencies(n: int, L: float) -> np.ndarray:
-    out = []
-    for axis in range(n):
-        for k in (1, 2, 4):
-            for sgn in (1, -1):
-                v = np.zeros(n)
-                v[axis] = sgn * k / L
-                out.append(v)
-    return np.array(out)
-
-
 def _restricted_matrix(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Compress a value-side matrix to the pair basis, checking that the
-    span is preserved to 1e-12."""
+    """Compress a value-side matrix to the orthonormal columns of B, checking
+    that their span is preserved to 1e-12."""
     proj = B @ B.conj().T
     leak = np.linalg.norm((np.eye(B.shape[0]) - proj) @ M @ B)
     if leak > 1e-12 * max(np.linalg.norm(M @ B), 1.0):
         raise ArithmeticError(f"value action leaves the pair span (leak {leak:.2e})")
     return B.conj().T @ M @ B
+
+
+def _nullspace(R: np.ndarray, rtol: float) -> tuple:
+    """Singular values of R, its rank (singular values at least rtol times the
+    largest) and the rows of Vh that span its nullspace.  A wide R is padded
+    with zero rows, which keep the spectrum while completing the right factor."""
+    if R.shape[0] < R.shape[1]:
+        R = np.concatenate([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]), dtype=R.dtype)], axis=0)
+    _, sv, Vh = np.linalg.svd(R, full_matrices=False)
+    rank = int(np.sum(sv >= rtol * sv[0]))
+    return sv, rank, Vh[rank:]
 
 
 def commutant_dimension_experiment(
@@ -466,134 +476,77 @@ def commutant_dimension_experiment(
     the identity and Hilbert multipliers lie in the nullspace.
     """
     n = spec.n
-    ambient = "H" if n == 3 else "Cl2"
-    a = get_algebra(ambient)
-    if restriction == "S2":
-        B = pair_basis(ambient, 1)
-        d = 2
-    elif restriction == "full":
-        B = None
-        d = a.dim
-    else:
+    if (n, restriction) not in _COMMUTANT_NOTES:
         raise ValueError("restriction must be 'S2' or 'full'")
-    bins = _bin_frequencies(n, spec.L)
+    ambient = "H" if n == 3 else "Cl2"
+    B = pair_basis(ambient, 1) if restriction == "S2" else np.eye(get_algebra(ambient).dim)
+    d = B.shape[1]
+    # bins k e_a / L for k in {±1, ±2, ±4}
+    bins = np.array([k * e for e in np.eye(n) for k in (1, -1, 2, -2, 4, -4)]) / spec.L
     nb = bins.shape[0]
     ncols = nb * d * d
 
-    def value_matrix(coeffs):
-        M = _left_mult_matrix(coeffs, ambient)
-        return _restricted_matrix(M, B) if B is not None else M
-
-    def find_bin(xi):
-        # distances in bin units: the bins are k/L
-        dist = np.linalg.norm(bins - xi, axis=1) * spec.L
-        k = int(np.argmin(dist))
-        return k if dist[k] < 1e-9 else None
-
-    rows = []
-
-    def add_element(r: float, s: SpinElement):
-        A = rotation_matrix(s)
-        S = value_matrix(spin_value_coefficients(s, ambient))
-        Id = np.eye(d)
-        KL = np.kron(Id, S.T)
-        KR = np.kron(S, Id)
-        for bi in range(nb):
-            xi_out = r * (A.T @ bins[bi])
-            bo = find_bin(xi_out)
-            if bo is None:
-                continue
-            block = np.zeros((d * d, ncols), dtype=complex)
-            block[:, bi * d * d:(bi + 1) * d * d] += KL
-            block[:, bo * d * d:(bo + 1) * d * d] -= KR
-            rows.append(block)
-
-    def quarter_turn(axis_pair_or_angle):
-        if n == 2:
-            return spin2_from_angle(pi / 4)
-        axis = np.zeros(3)
-        axis[axis_pair_or_angle] = 1.0
-        return spin3_from_axis_angle(axis, pi / 2)
-
-    # exact constraints
-    for r in (0.5, 2.0):
-        add_element(r, identity_spin(n))
-    if n == 3:
-        for axis in range(3):
-            add_element(1.0, quarter_turn(axis))
-        for axis in range(3):
-            unit = np.zeros(3)
-            unit[axis] = 1.0
-            for theta in (1.0, pi / 3):
-                add_element(1.0, spin3_from_axis_angle(unit, theta))
-    else:
-        add_element(1.0, quarter_turn(None))
-
+    # (r, s) pairs: dilations, then the exact rotors, then seeded samples
+    generators = [(r, identity_spin(n)) for r in (0.5, 2.0)]
     rng = np.random.default_rng(seed)
-    for k in range(_COMMUTANT_SAMPLES):
-        if n == 3:
-            if k % 2 == 0:
-                axis = np.zeros(3)
-                axis[int(rng.integers(3))] = 1.0
-                add_element(1.0, spin3_from_axis_angle(axis, float(rng.uniform(0, 2 * pi))))
-            else:
-                s = quarter_turn(int(rng.integers(3))) * quarter_turn(int(rng.integers(3)))
-                add_element(float(rng.choice([0.5, 1.0, 2.0])), s)
-        else:
-            s = spin2_from_angle(float(rng.integers(4)) * pi / 4)
-            add_element(float(rng.choice([0.5, 1.0, 2.0])), s)
+    if n == 3:
+        axes = np.eye(3)
 
+        def quarter_turn(axis):
+            return spin3_from_axis_angle(axes[axis], pi / 2)
+
+        generators += [(1.0, quarter_turn(axis)) for axis in range(3)]
+        generators += [(1.0, spin3_from_axis_angle(axes[axis], theta)) for axis in range(3) for theta in (1.0, pi / 3)]
+        for k in range(_COMMUTANT_SAMPLES):
+            if k % 2 == 0:
+                generators.append((1.0, spin3_from_axis_angle(axes[rng.integers(3)], float(rng.uniform(0, 2 * pi)))))
+            else:
+                s = quarter_turn(rng.integers(3)) * quarter_turn(rng.integers(3))
+                generators.append((float(rng.choice([0.5, 1.0, 2.0])), s))
+    else:
+        generators.append((1.0, spin2_from_angle(pi / 4)))
+        for _ in range(_COMMUTANT_SAMPLES):
+            # s is drawn before r: the seeded rows follow the draw order
+            s = spin2_from_angle(float(rng.integers(4)) * pi / 4)
+            generators.append((float(rng.choice([0.5, 1.0, 2.0])), s))
+
+    # constraint rows: one d*d block per generator and bin whose image is a bin
+    rows = []
+    for r, s in generators:
+        A = rotation_matrix(s)
+        S = _restricted_matrix(_left_mult_matrix(spin_value_coefficients(s, ambient), ambient), B)
+        KL = np.kron(np.eye(d), S.T)
+        KR = np.kron(S, np.eye(d))
+        for bi in range(nb):
+            dist = np.linalg.norm(bins - r * (A.T @ bins[bi]), axis=1) * spec.L  # in bin units
+            bo = int(np.argmin(dist))
+            if dist[bo] < 1e-9:
+                block = np.zeros((d * d, ncols), dtype=complex)
+                block[:, bi * d * d:(bi + 1) * d * d] += KL
+                block[:, bo * d * d:(bo + 1) * d * d] -= KR
+                rows.append(block)
     R = np.concatenate(rows, axis=0)
-    if R.shape[0] < ncols:
-        # zero rows keep the spectrum while completing the right factor
-        R = np.concatenate([R, np.zeros((ncols - R.shape[0], ncols), dtype=complex)], axis=0)
-    _, sv, Vh = np.linalg.svd(R, full_matrices=False)
-    smax = sv[0]
-    rank = int(np.sum(sv >= 1e-8 * smax))
-    dimension = ncols - rank
-    kept = sv[sv >= 1e-8 * smax]
-    gap_ratio = float(kept[-1] / smax) if kept.size else 0.0
-    null_basis = Vh[rank:].conj().T  # columns span the nullspace
+
+    sv, rank, null = _nullspace(R, 1e-8)
+    gap_ratio = float(sv[rank - 1] / sv[0])
 
     def null_projection_residual(v):
-        coef = null_basis.conj().T @ v
-        proj = null_basis @ coef
-        return float(np.linalg.norm(v - proj) / np.linalg.norm(v))
+        return float(np.linalg.norm(v - null.conj().T @ (null @ v)) / np.linalg.norm(v))
 
-    Id = np.eye(d)
-    v_i = np.concatenate([Id.flatten()] * nb)
-    h_blocks = [value_matrix(hilbert_multiplier_at(bins[b], ambient)).flatten() for b in range(nb)]
-    v_h = np.concatenate(h_blocks)
-    i_res = null_projection_residual(v_i)
-    h_res = null_projection_residual(v_h)
+    v_i = np.concatenate([np.eye(d).flatten()] * nb)
+    v_h = np.concatenate(
+        [_restricted_matrix(_left_mult_matrix(hilbert_multiplier_at(xi, ambient), ambient), B).flatten() for xi in bins]
+    )
     v_sanity = 3.0 * v_i + 2.0 * v_h
-    sanity = float(np.max(np.abs(R @ v_sanity)) / max(np.max(np.abs(v_sanity)), 1.0))
-
-    raw_rows = sum(b.shape[0] for b in rows)
-    under = raw_rows < ncols or gap_ratio < 1e-4
-    if n == 2:
-        note = (
-            "n=2: the even value subalgebra is commutative, so the constant "
-            "left factor e2e1 also commutes with the action; on the "
-            "pair-restricted space the commutant contains identity, Hilbert, "
-            "that factor, and their product."
-        )
-    elif restriction == "full":
-        note = (
-            "full value space: right multiplications commute with the left "
-            "action, enlarging the commutant beyond identity and Hilbert."
-        )
-    else:
-        note = "pair-restricted n=3: bin-stabilizer rotors pin the multipliers to span{identity, Hilbert}."
     return CommutantReport(
-        dimension=dimension,
+        dimension=ncols - rank,
         singular_values=sv,
         gap_ratio=gap_ratio,
-        under_sampled=bool(under),
-        i_residual=i_res,
-        h_residual=h_res,
-        sanity_residual=sanity,
-        note=note,
+        under_sampled=bool(R.shape[0] < ncols or gap_ratio < 1e-4),
+        i_residual=null_projection_residual(v_i),
+        h_residual=null_projection_residual(v_h),
+        sanity_residual=float(np.max(np.abs(R @ v_sanity)) / max(np.max(np.abs(v_sanity)), 1.0)),
+        note=_COMMUTANT_NOTES[n, restriction],
     )
 
 
@@ -610,17 +563,12 @@ def translations_force_multiplier_toy(N: int = 8, seed=0) -> MultiplierToyReport
     diagonal in the discrete Fourier basis."""
     P = np.roll(np.eye(N), 1, axis=0)
     # T P - P T = 0 over vec_C(T)
-    R = np.kron(np.eye(N), P.T) - np.kron(P, np.eye(N))
-    _, sv, Vh = np.linalg.svd(R)
-    smax = sv[0]
-    rank = int(np.sum(sv >= 1e-10 * smax))
-    dimension = N * N - rank
-    null_basis = Vh[rank:]
+    _, rank, null = _nullspace(np.kron(np.eye(N), P.T) - np.kron(P, np.eye(N)), 1e-10)
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal(null_basis.shape[0]) + 1j * rng.standard_normal(null_basis.shape[0])
-    T = (w @ null_basis).reshape(N, N)
+    w = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
+    T = (w @ null).reshape(N, N)
     F = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / np.sqrt(N)
     D = F.conj().T @ T @ F
     off = D - np.diag(np.diag(D))
     res = float(np.linalg.norm(off) / np.linalg.norm(D))
-    return MultiplierToyReport(dimension=dimension, expected=N, offdiagonal_residual=res)
+    return MultiplierToyReport(dimension=N * N - rank, expected=N, offdiagonal_residual=res)

@@ -105,15 +105,6 @@ def identity_element(n: int) -> GroupElement:
     return GroupElement(1.0, identity_spin(n), np.zeros(n))
 
 
-def is_strict_identity(g: GroupElement) -> bool:
-    return (
-        g.r == 1.0
-        and np.all(g.b == 0.0)
-        and g.s.coeffs[0] == 1.0
-        and coeff_norm(g.s.coeffs[1:]) == 0.0
-    )
-
-
 def _sandwich(s: SpinElement, x: np.ndarray) -> np.ndarray:
     if s.coeffs.ndim != 1:
         raise ValueError("the spin action needs one rotor, not a batch")

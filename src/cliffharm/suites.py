@@ -365,19 +365,20 @@ def run_plemelj(cfg: SuiteConfig, extras: dict):
     if not cfg.wants(2):
         return
     spec = _grid(cfg, 2, 64, 12.0)
+    unit = spec.L / 12.0  # width and heights scale with the box; exactly 1.0 at the default
     X = spec.coords()
     data = np.zeros(spec.shape + (4,), dtype=complex)
-    data[..., 0] = np.exp(-pi * (X[0] ** 2 + X[1] ** 2) / 16.0)
+    data[..., 0] = np.exp(-pi * ((X[0] / unit) ** 2 + (X[1] / unit) ** 2) / 16.0)
     f = fl.CliffordField(spec, "Cl2", data)
     limit_target = tr.hardy_project(1, f)
     fnorm = fl.norm(f)
 
-    heights = (0.4, 0.2, 0.1)
+    heights = (0.4, 0.2, 0.1)  # at the default box; the case names keep these
     limit_totals = []
     rows = []
     for x0 in heights:
-        C = tr.cauchy_extend(f, x0)
-        quad_target = tr.hardy_project(1, tr.poisson_extend(f, x0))
+        C = tr.cauchy_extend(f, x0 * unit)
+        quad_target = tr.hardy_project(1, tr.poisson_extend(f, x0 * unit))
         qres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - quad_target.data)) / fnorm
         yield f"cauchy_quadrature_x0_{x0}", qres, 5e-4
         lres = fl.norm(fl.CliffordField(spec, "Cl2", C.data - limit_target.data)) / fnorm
@@ -387,7 +388,7 @@ def run_plemelj(cfg: SuiteConfig, extras: dict):
     yield "boundary_limit_monotone", mono, 0.0
     yield "boundary_limit_final", limit_totals[-1], 5e-2
 
-    wrong = tr.cauchy_extend(f, heights[-1], kernel_exponent=spec.n)
+    wrong = tr.cauchy_extend(f, heights[-1] * unit, kernel_exponent=spec.n)
     wrong_total = fl.norm(fl.CliffordField(spec, "Cl2", wrong.data - limit_target.data)) / fnorm
     ratio = limit_totals[-1] / wrong_total
     yield "kernel_exponent_separates", ratio, 0.1
@@ -532,7 +533,7 @@ def run_representation(cfg: SuiteConfig, extras: dict):
 
         worst = 0.0
         for g in _grid_preserving_samples(spec, rng, 8):
-            worst = max(worst, rep.commutation_residual(g, f))
+            worst = max(worst, rep.commutation_residual(g, f, mode="grid"))
         yield f"hilbert_commutation_grid_n{n}", worst, 1e-12
 
         worst = 0.0

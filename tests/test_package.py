@@ -1,5 +1,6 @@
 """The package surface and its source: the export list of `cliffharm`, the
-demos that use it, and no module importing a name it never uses."""
+demos that use it, no module importing a name it never uses, and no private
+function that nothing calls."""
 
 import ast
 import os
@@ -77,3 +78,18 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_every_private_function_is_named_outside_its_own_def():
+    # suite runners are reached through the registry their `_suite` decorator fills
+    defined, named = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                names.discard(node.name)
+                if "_suite" not in {d.id for d in node.decorator_list if isinstance(d, ast.Name)}:
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            named |= names
+    assert not [f"{where}: {name}" for name, where in defined.items() if name not in named]

@@ -297,6 +297,18 @@ def test_commutant_dimensions_at_the_small_size():
     assert r3.i_residual < 1e-8 and r3.h_residual < 1e-8
 
 
+def test_nullspace_of_a_wide_matrix_pads_it_to_a_full_right_factor():
+    # 4 x 6 of rank 2: without the zero rows, Vh would have 4 rows and miss 2 null directions
+    rng = np.random.default_rng(5)
+    left = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    R = left @ (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)))
+    sv, rank, null = rp._nullspace(R, 1e-8)
+    assert rank == 2 and sv.shape == (6,) and null.shape == (4, 6)
+    assert np.allclose(sv[:4], np.linalg.svd(R, compute_uv=False), rtol=1e-12)
+    assert np.linalg.norm(R @ null.conj().T) < 1e-12 * np.linalg.norm(R)
+    assert np.allclose(null @ null.conj().T, np.eye(4), atol=1e-12)
+
+
 def test_shift_commutant_toy_is_diagonalized_by_the_dft():
     report = rp.translations_force_multiplier_toy(N=8, seed=3)
     assert report.dimension == report.expected == 8

@@ -223,6 +223,15 @@ def test_representation_suite_passes_at_both_ends_of_the_box_length_range(L):
     assert [r.case for r in results if not r.passed] == []
 
 
+@pytest.mark.parametrize("L", [1e30, 1e-30])
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_every_suite_passes_at_both_ends_of_the_box_length_range(name, L):
+    # lengths the suites pick (shifts, widths, heights) are fractions of the box
+    results, _ = suites.run_suite(suites.SuiteConfig(suite=name, L=L))
+    assert results
+    assert [r.case for r in results if not r.passed] == []
+
+
 def test_cli_rejects_tightened_tolerance():
     p = run_cli("verify", "--suite", "algebra", "--tol", "associativity=1e-30")
     assert p.returncode == 2
