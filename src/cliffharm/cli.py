@@ -32,7 +32,6 @@ OPTIONS = {
     "L": (float, "period length"),
     "seed": (int, "random seed"),
     "out": (str, "write JSON-lines report here"),
-    "parallel": (int, "run suites concurrently"),
 }
 
 
@@ -209,9 +208,6 @@ def main(argv=None) -> int:
             return _run_transform(args)
         if args.command == "info":
             return _run_info()
-    except su.UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -478,7 +478,7 @@ def commutant_dimension_experiment(
     n = spec.n
     if (n, restriction) not in _COMMUTANT_NOTES:
         raise ValueError("restriction must be 'S2' or 'full'")
-    ambient = "H" if n == 3 else "Cl2"
+    ambient = _DEFAULT_ALGEBRA[n]
     B = pair_basis(ambient, 1) if restriction == "S2" else np.eye(get_algebra(ambient).dim)
     d = B.shape[1]
     # bins k e_a / L for k in {±1, ±2, ±4}

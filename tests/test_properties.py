@@ -232,9 +232,9 @@ def test_transform_op_specs_are_applied_or_refused(op):
             assert err.getvalue().startswith("error:") and not os.path.exists(dst), op
 
 
-# a value each config key accepts; the last five keys are unknown
+# a value each config key accepts; the last six keys are unknown
 CONFIG_VALUES = {"suite": ["all", "spin"], "n": ["2", "3"], "N": ["16"], "L": ["12.5"], "seed": ["7"],
-                 "out": ["r.jsonl"], "parallel": ["2"], "tol.associativity": ["1e-6"],
+                 "out": ["r.jsonl"], "tol.associativity": ["1e-6"], "parallel": ["2"],
                  "mode": ["exact"], "sede": ["5"], "emit_plots": ["out"], "config": ["c.ini"], "": ["1"]}
 config_line = st.one_of(
     st.sampled_from(list(CONFIG_VALUES)).flatmap(

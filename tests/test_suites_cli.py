@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from cliffharm import cli
 from cliffharm import fields as fl
 from cliffharm import suites
 
@@ -80,9 +84,12 @@ def test_run_suite_in_process_smoke():
         {"seed": -1},
         {"L": float("inf")},
         {"tol_overrides": {"some_case": -1.0}},
-        {"parallel": 0},
         {"tol_overrides": {"some_case": float("nan")}},
         {"tol_overrides": {"some_case": float("inf")}},
+        {"n": 3, "N": 256},
+        {"N": 4096},
+        {"N": 0},
+        {"n": 0},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -90,12 +97,42 @@ def test_config_validation_rejects(kwargs):
         suites.SuiteConfig(**kwargs)
 
 
-def test_parallel_run_matches_sequential():
-    def rows(parallel):
-        results, _ = suites.run_suite(suites.SuiteConfig(suite="all", n=2, parallel=parallel))
-        return [(r.suite, r.case, r.residual, r.passed) for r in results]
+def test_all_suites_run_equals_the_single_suite_runs_joined():
+    def rows(results):
+        return [(r.suite, r.case, r.residual, r.tol, r.passed) for r in results]
 
-    assert rows(2) == rows(1)
+    results, extras = suites.run_suite(suites.SuiteConfig(suite="all", n=2))
+    joined, joined_extras = [], {}
+    for name in suites.SUITE_NAMES:
+        cases, ex = suites.run_suite(suites.SuiteConfig(suite=name, n=2))
+        joined += cases
+        joined_extras.update(ex)
+    assert rows(results) == rows(joined)
+    np.testing.assert_equal(extras, joined_extras)
+
+
+def test_a_suite_that_raises_stops_the_suites_not_yet_started(monkeypatch):
+    # a late refusal (a refined grid above the cap) must not leave the other
+    # threads running every remaining suite
+    started, raised = [], threading.Event()
+
+    def stub(name):
+        def run(cfg):
+            started.append(name)
+            if name == "algebra":
+                raised.set()
+                raise ValueError("a grid above the cap")
+            raised.wait(5)
+            time.sleep(0.2)
+            return [], {}
+        return run
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites.SUITES, name, stub(name))
+    with pytest.raises(ValueError, match="above the cap"):
+        suites.run_suite(suites.SuiteConfig())
+    assert set(started) <= {"algebra", "spin"}
 
 
 def test_tolerance_overrides_only_loosen():
@@ -157,16 +194,6 @@ def test_cli_rejects_unknown_suite():
     assert "unknown suite" in p.stderr
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_cli_rejects_parallel_below_one(value, tmp_path):
-    conf = tmp_path / "conf.ini"
-    conf.write_text(f"parallel = {value}\n")
-    for args in (("--parallel", value), ("--config", conf)):
-        p = run_cli("verify", "--suite", "algebra", *args)
-        assert p.returncode == 2
-        assert p.stderr.startswith("error:") and "Traceback" not in p.stderr
-
-
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -183,6 +210,8 @@ def test_cli_rejects_parallel_below_one(value, tmp_path):
         (("--out", os.path.dirname(__file__)), None),
         (("--emit-plots", __file__), None),
         ((), "mode = exact"),
+        ((), "parallel = 2"),
+        (("--n", "3", "--N", "256"), None),
     ],
 )
 def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
@@ -198,7 +227,13 @@ def test_cli_refuses_a_bad_option_before_any_suite_runs(args, config, tmp_path):
         assert f"conf.ini:2: unknown key {config.split()[0]!r}" in p.stderr
 
 
-@pytest.mark.parametrize("argv", [("verify", "--mode", "exact"), ("plemelj",), ("commutant",)])
+def test_cli_options_are_exactly_the_config_fields():
+    fields = {f.name for f in dataclasses.fields(suites.SuiteConfig)} - {"tol_overrides"}
+    assert set(cli.OPTIONS) == fields
+
+
+@pytest.mark.parametrize("argv", [("verify", "--mode", "exact"), ("plemelj",), ("commutant",),
+                                  ("verify", "--parallel", "2")])
 def test_cli_has_no_mode_flag_and_no_suite_shortcuts(argv):
     p = run_cli(*argv)
     assert p.returncode == 2
@@ -230,6 +265,19 @@ def test_every_suite_passes_at_both_ends_of_the_box_length_range(name, L):
     results, _ = suites.run_suite(suites.SuiteConfig(suite=name, L=L))
     assert results
     assert [r.case for r in results if not r.passed] == []
+
+
+def test_kernel_exponent_separates_reads_the_same_at_every_box_length():
+    # the wrong kernel's extension carries one power of the box scale; once
+    # that is taken out the ratio measures the kernel's shape alone
+    def ratio(L):
+        cases, _ = suites.run_plemelj(suites.SuiteConfig(suite="plemelj", L=L))
+        (case,) = (c for c in cases if c.case == "kernel_exponent_separates")
+        return case.residual
+
+    ref = ratio(12.0)
+    for L in (1e-30, 6.0, 24.0, 1e30):
+        assert abs(ratio(L) - ref) <= 1e-12 * ref, L
 
 
 def test_cli_rejects_tightened_tolerance():
