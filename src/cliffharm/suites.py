@@ -639,29 +639,12 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(cfg: SuiteConfig):
-    """Run one suite (or all) and return (cases, extras)."""
+    """Run one suite (or all, in order) in the calling thread and return (cases, extras)."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
-    failed = []
-
-    def run(name):  # once a suite has raised, the suites not yet started are skipped
-        if failed:
-            return [], {}
-        try:
-            return SUITES[name](cfg)
-        except Exception:
-            failed.append(name)
-            raise
-
-    workers = min(len(names), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a multi-suite run loads it
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, names))
-    else:
-        runs = map(run, names)
     results = []
     extras = {}
-    for cases, ex in runs:
+    for name in names:
+        cases, ex = SUITES[name](cfg)
         results.extend(cases)
         extras.update(ex)
     unused = sorted(set(cfg.tol_overrides) - {r.case for r in results})
