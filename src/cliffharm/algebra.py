@@ -15,6 +15,9 @@ table.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,6 +53,65 @@ _CHUNK = 512
 # Points per block in Algebra.symbol_product: its one permuted copy of the
 # right operand holds _SYMBOL_BLOCK * dim entries, no more than product's gather.
 _SYMBOL_BLOCK = 2048
+# A field-sized pass (a stage of the centred transform, the blade loop) is cut
+# into parts of at least _PART complex values (2 MiB), at most one per CPU the
+# process may run on; a smaller pass runs whole in the calling thread.  The
+# first pass that splits makes the pool.
+_PART = 2**17
+_pool = None
+
+
+class _Pool:
+    """size - 1 daemon threads that run the parts of split passes; a caller
+    runs the first part of its pass itself.  Plain threads, so the first
+    pass that splits imports nothing."""
+
+    def __init__(self, size: int):
+        self.pid, self.size = os.getpid(), size
+        self._parts, self._ready = deque(), threading.Semaphore(0)
+        for _ in range(size - 1):
+            threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._ready.acquire()
+            fn, lo, hi, args, errors, done = self._parts.popleft()
+            try:
+                fn(lo, hi, *args)
+            except BaseException as err:  # raised in the caller of run
+                errors.append(err)
+            done.release()
+            del fn, args, errors, done  # no array of the part stays held while the thread waits
+
+    def run(self, fn, bounds: list, args: tuple) -> None:
+        errors, done = [], threading.Semaphore(0)
+        for lo, hi in bounds[1:]:
+            self._parts.append((fn, lo, hi, args, errors, done))
+            self._ready.release()
+        try:
+            fn(*bounds[0], *args)
+        finally:
+            for _ in bounds[1:]:
+                done.acquire()
+        if errors:
+            raise errors[0]
+
+
+def _in_parts(fn, count: int, values: int, *args) -> None:
+    """fn(lo, hi, *args) over consecutive ranges that cover range(count), for
+    a pass over `values` complex values.  Each range writes its own part, so
+    the result is the same for any number of parts."""
+    global _pool
+    parts = min(count, values // _PART)
+    if parts > 1 and (_pool is None or _pool.pid != os.getpid()):  # a forked child has none of its threads
+        # affinity is honoured (os.cpu_count() ignores it) where the platform has it
+        _pool = _Pool(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if parts < 2 or _pool.size < 2:
+        fn(0, count, *args)
+        return
+    parts = min(parts, _pool.size)
+    cuts = [count * k // parts for k in range(parts + 1)]
+    _pool.run(fn, list(zip(cuts, cuts[1:])), args)
 
 
 @dataclass(frozen=True)
@@ -105,7 +167,8 @@ class Algebra:
         term is one rounded product and the result equals `product` bit for
         bit.  On general complex m numpy's complex multiply (which fuses
         multiply-adds) rounds differently from the einsum in `product`, by
-        about 1e-16 relative, so `product` stays the general kernel."""
+        about 1e-16 relative, so `product` stays the general kernel.  On a
+        large field, groups of blocks run on the thread pool (_in_parts)."""
         m = np.asarray(m)
         b = np.asarray(b)
         lead = np.broadcast_shapes(m.shape[:-1], b.shape[:-1])
@@ -113,8 +176,14 @@ class Algebra:
         flat = out.reshape(-1, self.dim)
         M = np.broadcast_to(m, out.shape).reshape(flat.shape)
         B = np.broadcast_to(b, out.shape).reshape(flat.shape)
-        scratch = np.empty((min(_SYMBOL_BLOCK, len(flat)), self.dim), out.dtype)
-        for start in range(0, len(flat), _SYMBOL_BLOCK):
+        _in_parts(self._symbol_blocks, -(-len(flat) // _SYMBOL_BLOCK), out.size, M, B, flat)
+        return out
+
+    def _symbol_blocks(self, lo: int, hi: int, M: np.ndarray, B: np.ndarray, flat: np.ndarray) -> None:
+        """Blocks lo .. hi - 1 of symbol_product, through their own scratch block."""
+        stop = min(hi * _SYMBOL_BLOCK, len(flat))
+        scratch = np.empty((min(_SYMBOL_BLOCK, stop - lo * _SYMBOL_BLOCK), self.dim), flat.dtype)
+        for start in range(lo * _SYMBOL_BLOCK, stop, _SYMBOL_BLOCK):
             block = slice(start, start + _SYMBOL_BLOCK)
             acc, Bb, Mb = flat[block], B[block], M[block]
             term = scratch[: len(acc)]
@@ -127,7 +196,6 @@ class Algebra:
                 term *= self.signs[i]
                 term *= mi[:, None]
                 acc += term
-        return out
 
 
 def _build(name: str, gens: int) -> Algebra:

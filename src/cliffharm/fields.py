@@ -8,6 +8,7 @@ inverse carries the per-bin weight (1/L)^n.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -107,23 +108,56 @@ def zero_field(spec, value_algebra) -> CliffordField:
     return CliffordField(spec, value_algebra, np.zeros(spec.shape + (a.dim,), dtype=complex))
 
 
+def _swap_halves(dst: np.ndarray, src: np.ndarray, lo: int, hi: int) -> None:
+    """dst[lo:hi] = rows lo .. hi - 1 of src rolled by N/2 on every grid axis
+    (fftshift and ifftshift agree for even N): per half of axis 0 that the
+    rows meet, one block copy for each quadrant of the other grid axes."""
+    h = len(src) // 2
+    swaps = ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h)))  # (to, from) halves
+    for a, b in ((lo, min(hi, h)), (max(lo, h), hi)):
+        s = a + h if a < h else a - h
+        for halves in itertools.product(swaps, repeat=src.ndim - 2) if a < b else ():
+            to, fro = zip(*halves)
+            dst[(slice(a, b),) + to] = src[(slice(s, s + b - a),) + fro]
+
+
+def _rows_in(lo, hi, x, buf, fftn):
+    _swap_halves(buf, x, lo, hi)
+    fftn(buf[lo:hi], axes=tuple(range(1, x.ndim - 1)), out=buf[lo:hi])
+
+
+def _columns(lo, hi, buf, fft):
+    fft(buf[:, lo:hi], axis=0, out=buf[:, lo:hi])
+
+
+def _rows_out(lo, hi, buf, out, scale):
+    _swap_halves(out, buf, lo, hi)
+    out[lo:hi] *= scale
+
+
+def _centred_transform(x: np.ndarray, scale: float, inverse: bool) -> np.ndarray:
+    """fftshift(fftn(ifftshift(x))) * scale over the grid axes (ifftn if
+    inverse) bit for bit, through two field-sized arrays.  numpy's fftn takes
+    axis 0 last, one line at a time, so it runs as three passes over slabs
+    of axis 0, split over threads on large fields (algebra._in_parts): rows
+    shifted into buf and transformed over the other grid axes, columns of
+    buf along axis 0, rows of buf shifted into out and scaled."""
+    fftn, fft = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
+    buf, out = np.empty_like(x), np.empty_like(x)
+    alg._in_parts(_rows_in, len(x), x.size, x, buf, fftn)
+    alg._in_parts(_columns, len(x), x.size, buf, fft)
+    alg._in_parts(_rows_out, len(x), x.size, buf, out, scale)
+    return out
+
+
 def spectral_forward(f: CliffordField) -> SpectralField:
     spec = f.spec
-    axes = tuple(range(spec.n))
-    # the transform runs in place in the shifted copy: one field-sized temporary
-    shifted = np.fft.ifftshift(f.data, axes=axes)
-    out = np.fft.fftshift(np.fft.fftn(shifted, axes=axes, out=shifted), axes=axes)
-    out *= (spec.L / spec.N) ** spec.n
-    return SpectralField(spec, f.value_algebra, out)
+    return SpectralField(spec, f.value_algebra, _centred_transform(f.data, (spec.L / spec.N) ** spec.n, False))
 
 
 def spectral_inverse(F: SpectralField) -> CliffordField:
     spec = F.spec
-    axes = tuple(range(spec.n))
-    shifted = np.fft.ifftshift(F.data, axes=axes)
-    out = np.fft.fftshift(np.fft.ifftn(shifted, axes=axes, out=shifted), axes=axes)
-    out *= (spec.N / spec.L) ** spec.n
-    return CliffordField(spec, F.value_algebra, out)
+    return CliffordField(spec, F.value_algebra, _centred_transform(F.data, (spec.N / spec.L) ** spec.n, True))
 
 
 def inner_product(f, g) -> complex:

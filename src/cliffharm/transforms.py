@@ -85,7 +85,7 @@ def riesz(j: int, f: fl.CliffordField) -> fl.CliffordField:
     if not 0 <= j < spec.n:
         raise ValueError(f"axis {j} out of range for n={spec.n}")
     F = fl.spectral_forward(f)
-    F.data = F.data * riesz_symbol_array(spec, j)[..., None]
+    F.data *= riesz_symbol_array(spec, j)[..., None]
     return fl.spectral_inverse(F)
 
 
@@ -122,7 +122,7 @@ def poisson_extend(f: fl.CliffordField, x0: float) -> fl.CliffordField:
         raise ValueError(f"extension height must be nonzero with 2 pi |x0| finite, got {x0!r}")
     F = fl.spectral_forward(f)
     damp = np.exp(-2 * pi * abs(x0) * f.spec.freq_magnitude())
-    F.data = F.data * damp[..., None]
+    F.data *= damp[..., None]
     return fl.spectral_inverse(F)
 
 

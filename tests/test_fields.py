@@ -1,5 +1,10 @@
+import functools
 import json
+import os
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -104,6 +109,93 @@ def test_multiplier_memory_stays_near_its_output():
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * out.data.nbytes, (peak, out.data.nbytes)
+
+
+@functools.cache
+def _pool(threads):
+    # one pool per size for the whole module: its threads live as long as the process
+    return alg._Pool(threads)
+
+
+def _centred_reference(x, scale, inverse):
+    axes = tuple(range(x.ndim - 1))
+    fftn = np.fft.ifftn if inverse else np.fft.fftn
+    out = np.fft.fftshift(fftn(np.fft.ifftshift(x, axes=axes), axes=axes), axes=axes)
+    out *= scale
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n,N,algebra", [(2, 64, "Cl2"), (3, 16, "H"), (3, 32, "Cl3")])
+def test_split_transforms_equal_the_whole_field_transform(monkeypatch, threads, n, N, algebra):
+    # every pass split, whatever its size; 3 threads cut uneven slabs, one of them across N/2
+    monkeypatch.setattr(alg, "_PART", 1)
+    monkeypatch.setattr(alg, "_pool", _pool(threads))
+    spec = fl.GridSpec(n, N, 10.0)
+    rng = np.random.default_rng(N + threads)
+    shape = spec.shape + (alg.get_algebra(algebra).dim,)
+    f = fl.CliffordField(spec, algebra, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    F = fl.spectral_forward(f)
+    assert np.array_equal(F.data, _centred_reference(f.data, (spec.L / N) ** n, False))
+    assert np.array_equal(fl.spectral_inverse(F).data, _centred_reference(F.data, (N / spec.L) ** n, True))
+
+
+def test_only_fields_of_two_parts_make_the_pool(monkeypatch):
+    monkeypatch.setattr(alg, "_pool", None)
+    # H 32^3, the largest group-actions input, holds 2^17 complex values: one part
+    tr.hilbert(fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "H", 0.2, 2))
+    assert alg._pool is None
+    # Cl3 32^3 holds 2^18, the smallest field that splits
+    tr.hilbert(fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "Cl3", 0.4, 2))
+    assert (alg._pool.pid, alg._pool.size) == (os.getpid(), len(os.sched_getaffinity(0)))
+
+
+def test_callers_in_many_threads_share_the_pool(monkeypatch):
+    # more callers than CPUs, switching often: each split pass must wait for its own parts only
+    monkeypatch.setattr(alg, "_PART", 1)
+    monkeypatch.setattr(alg, "_pool", _pool(3))
+    spec = fl.GridSpec(2, 32, 10.0)
+    rng = np.random.default_rng(11)
+    fields = [fl.CliffordField(spec, "Cl2", rng.standard_normal(spec.shape + (4,)) + 1j) for _ in range(6)]
+    want = [_centred_reference(f.data, (spec.L / spec.N) ** 2, False) for f in fields]
+    wrong = []
+
+    def call(k):
+        for _ in range(20):
+            if not np.array_equal(fl.spectral_forward(fields[k]).data, want[k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_a_failing_part_raises_in_the_caller_after_every_part_ended(monkeypatch):
+    monkeypatch.setattr(alg, "_PART", 1)
+    monkeypatch.setattr(alg, "_pool", _pool(3))
+
+    def part(lo, hi, seen):
+        if lo == 1:
+            time.sleep(0.05)
+            raise ValueError("part 1")
+        time.sleep(0.1)
+        seen.append((lo, hi))
+
+    seen = []
+    with pytest.raises(ValueError, match="part 1"):
+        alg._in_parts(part, 3, 3, seen)
+    assert sorted(seen) == [(0, 1), (2, 3)]
+    alg._in_parts(part, 6, 6, seen)  # the pool goes on
+    assert sorted(seen) == [(0, 1), (0, 2), (2, 3), (2, 4), (4, 6)]
 
 
 def test_plane_wave_lands_in_one_bin():

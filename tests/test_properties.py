@@ -4,10 +4,12 @@ product kernel and the symbolic oracle, and the command line's operator specs
 and config files."""
 
 import contextlib
+import functools
 import io
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -119,9 +121,17 @@ def test_field_files_round_trip_bit_exactly(grid, L, seed, kind):
     assert back.data.tobytes() == f.data.tobytes()
 
 
-# point counts around the symbol product's block: below, at, above and not a multiple
+# point counts around the symbol product's block: below, at, above and not a
+# multiple; and around the groups of blocks that split runs give 2 and 3 threads
 BLOCK = alg._SYMBOL_BLOCK
-POINT_COUNTS = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 37]
+POINT_COUNTS = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 37, 3 * BLOCK, 3 * BLOCK + 1,
+                4 * BLOCK - 1, 5 * BLOCK + 11]
+
+
+@functools.cache
+def _pool(threads):
+    # one pool per size for the whole module: its threads live as long as the process
+    return alg._Pool(threads)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -157,6 +167,11 @@ def test_symbol_product_matches_the_product_kernel_and_the_oracle(algebra, point
     assert np.array_equal(got, a.product(symbol, b))
     got_general, want_general = a.symbol_product(general, b), a.product(general, b)
     assert alg.coeff_norm(got_general - want_general) <= 1e-15 * alg.coeff_norm(want_general)
+    # split into one group of blocks per thread at every size, the loop gives the same bits
+    for threads in (2, 3):
+        with mock.patch.object(alg, "_PART", 1), mock.patch.object(alg, "_pool", _pool(threads)):
+            assert np.array_equal(a.symbol_product(symbol, b), got)
+            assert np.array_equal(a.symbol_product(general, b), got_general)
 
     for m, result in ((symbol, got), (general, got_general), (general, want_general)):
         for p in rng.choice(points, size=min(points, 8), replace=False):

@@ -325,8 +325,9 @@ def test_cli_refuses_a_grid_above_the_cap():
 
 
 def test_cli_honest_failure_exits_one(tmp_path):
-    # a grid spacing too coarse for the smallest extension height: three
-    # plemelj cases miss their pinned tolerances and the run reports failure
+    # a grid spacing too coarse for the smallest extension height: one
+    # plemelj case, cauchy_quadrature_x0_0.1, misses its pinned tolerance and
+    # the run reports failure
     out = tmp_path / "fail.jsonl"
     plots = tmp_path / "plots"
     plots.mkdir()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -360,3 +361,23 @@ def test_lattice_tail_drops_by_one_shell_per_step(n):
 def test_lattice_tail_refuses_other_dimensions(n):
     with pytest.raises(ValueError):
         tr._lattice_tail(n, 1.0, 2)
+
+
+def _names(code):
+    """Every global and attribute name a function's code, nested functions included, reads."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_quadrature_oracles_stay_off_the_spectral_path():
+    # the oracles check the spectral path, so they must not run through it: _correlate
+    # keeps its own numpy FFTs and _image_sum makes none
+    spectral = {"_centred_transform", "_in_parts", "_pool", "spectral_forward", "spectral_inverse",
+                "apply_multiplier_array", "symbol_product"}
+    for oracle in (tr._correlate, tr._image_sum):
+        assert not _names(oracle.__code__) & spectral, oracle.__name__
+    assert {"fftn", "ifftn"} <= _names(tr._correlate.__code__)
+    assert not {"fftn", "ifftn", "fft", "ifft"} & _names(tr._image_sum.__code__)
