@@ -201,9 +201,17 @@ def right_multiply_constant(f, c: np.ndarray):
 
 def occupied_modes(F: SpectralField) -> tuple:
     """Bins whose largest coefficient exceeds 1e-13 of the field's peak:
-    their (count, n) index array and the matching frequencies."""
-    mags = np.max(np.abs(F.data), axis=-1)
-    idx = np.argwhere(mags > 1e-13 * mags.max())
+    their (count, n) index array and the matching frequencies.  The largest
+    coefficient is taken one blade at a time (a max over the short blade
+    axis runs as dim-long inner loops).  A non-finite peak raises ValueError:
+    no bin would exceed it, and the field would read as empty."""
+    mags = np.abs(F.data[..., 0])
+    for i in range(1, F.data.shape[-1]):
+        np.maximum(mags, np.abs(F.data[..., i]), out=mags)
+    peak = mags.max()
+    if not np.isfinite(peak):
+        raise ValueError("spectrum holds a non-finite coefficient")
+    idx = np.argwhere(mags > 1e-13 * peak)
     return idx, (idx - F.spec.N / 2) / F.spec.L
 
 
@@ -254,8 +262,9 @@ def is_grid_preserving(g: GroupElement, spec: GridSpec) -> bool:
     return bool(np.max(np.spacing(np.abs(steps))) <= 1e-9 and np.max(np.abs(steps - np.round(steps))) <= 1e-9)
 
 
-def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
-    """Samples of x -> f(g^{-1} x).
+def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordField:
+    """Samples of x -> f(g^{-1} x), or of x -> left f(g^{-1} x) for a constant
+    coefficient array left (natural_rep passes r^(-n/2) s).
 
     Grid-preserving g (r=1, axis quarter-turn spin, on-grid shift) permutes
     the samples exactly: row a of A^-1 has one nonzero entry, at column b,
@@ -273,6 +282,11 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
     E_n[k, m] c[m, d].  The output, read as (N^(n-1), N dim), is then
     (E_1 * ... * E_(n-1))[rows, m] @ W, formed in blocks of at most
     _BLOCK rows and 2^20 / M rows: n N M exponentials instead of N^n M.
+
+    A constant left factor commutes with the resampling.  The exact path
+    multiplies the permuted samples by it through left_multiply_constant;
+    the trigonometric path multiplies the M mode coefficients c before
+    synthesis, M products instead of N^n.
     """
     spec = f.spec
     if g.n != spec.n:
@@ -286,12 +300,15 @@ def resample_action(g: GroupElement, f: CliffordField) -> CliffordField:
             y_a = ginv.r * A_inv[a_, b_] * spec.axis() + ginv.b[a_]
             j = np.round((y_a + spec.L / 2) / spec.h).astype(int) % spec.N
             idx.append(j.reshape([-1 if k == b_ else 1 for k in range(spec.n)]))
-        return f._like(f.data[tuple(idx)])
+        out = f._like(f.data[tuple(idx)])
+        return out if left is None else left_multiply_constant(left, out)
 
     F = spectral_forward(f)
     occ, xi = occupied_modes(F)
     n, N, dim = spec.n, spec.N, f.algebra.dim
     c = F.data[tuple(occ.T)] * (np.exp(2j * np.pi * (xi @ ginv.b)) / spec.L ** n)[:, None]
+    if left is not None:
+        c = f.algebra.symbol_product(left, c)
     eta = ginv.r * (xi @ A_inv)
     E = np.exp(2j * np.pi * spec.axis()[None, :, None] * eta.T[:, None, :])
     W = (E[-1].T[:, :, None] * c[:, None, :]).reshape(len(c), N * dim)

@@ -196,13 +196,12 @@ def random_subspace_member(id: SubspaceId, spec: fl.GridSpec, seed, bandfraction
 # the natural representation
 
 def natural_rep(g: GroupElement, f: fl.CliffordField) -> fl.CliffordField:
-    """lam(g)f: resample at g^-1 x, left-multiply by the rotor, apply the
-    L2-normalizing dilation power.  Exact when g preserves the grid."""
+    """lam(g)f: resample at g^-1 x and left-multiply by the rotor times the
+    L2-normalizing dilation power r^(-n/2), one constant factor that
+    resample_action applies.  Exact when g preserves the grid."""
     if g.n != f.spec.n:
         raise ValueError("group element dimension does not match the field")
-    out = fl.left_multiply_constant(spin_value_coefficients(g.s, f.value_algebra), fl.resample_action(g, f))
-    out.data *= g.r ** (-f.spec.n / 2)
-    return out
+    return fl.resample_action(g, f, left=g.r ** (-f.spec.n / 2) * spin_value_coefficients(g.s, f.value_algebra))
 
 
 def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralField:

@@ -484,6 +484,41 @@ def test_resample_off_grid_matches_direct_mode_sum(algebra, n, N, band):
     assert not np.any(got) and np.array_equal(got, _direct_mode_sum(moves[0], zero))
 
 
+def _occupied_by_the_blade_axis_max(F):
+    """The occupied-mode rule written as one max over the blade axis."""
+    mags = np.max(np.abs(F.data), axis=-1)
+    idx = np.argwhere(mags > 1e-13 * mags.max())
+    return idx, (idx - F.spec.N / 2) / F.spec.L
+
+
+def _spectra_for_the_mode_rule():
+    rng = np.random.default_rng(27)
+    out = []
+    for algebra, n, N in (("Cl2", 2, 32), ("H", 3, 16), ("Cl3", 3, 16)):
+        spec = fl.GridSpec(n, N, 9.0)
+        out.append(pytest.param(fl.spectral_forward(fl.make_band_limited_random(spec, algebra, 0.4, 28)),
+                                id=f"{algebra}-seeded"))
+        # magnitudes over 20 decades, so that bins sit on both sides of the 1e-13 cut
+        shape = spec.shape + (alg.get_algebra(algebra).dim,)
+        data = 10.0 ** rng.uniform(-20, 0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        data[rng.uniform(size=shape) < 0.5] = 0.0
+        last = data.copy()
+        last[(1,) * n + (-1,)] = 10.0  # the peak sits in the last blade
+        out.append(pytest.param(fl.SpectralField(spec, algebra, last), id=f"{algebra}-peak-in-last-blade"))
+        single = np.zeros_like(data)
+        single[..., 1] = data[..., 1]  # one live blade
+        out.append(pytest.param(fl.SpectralField(spec, algebra, single), id=f"{algebra}-one-live-blade"))
+    return out
+
+
+@pytest.mark.parametrize("F", _spectra_for_the_mode_rule())
+def test_occupied_modes_match_the_blade_axis_max_rule(F):
+    idx, xi = fl.occupied_modes(F)
+    want_idx, want_xi = _occupied_by_the_blade_axis_max(F)
+    assert 0 < len(idx) < F.spec.N ** F.spec.n
+    assert np.array_equal(idx, want_idx) and np.array_equal(xi, want_xi)
+
+
 def test_resample_off_grid_memory_stays_below_one_phase_chunk():
     spec = fl.GridSpec(3, 32, 10.0)
     f = fl.make_band_limited_random(spec, "Cl3", 0.4, 23)

@@ -1,3 +1,4 @@
+import contextlib
 import pickle
 
 import numpy as np
@@ -454,3 +455,56 @@ def test_spectral_route_and_mode_residual_equal_their_geometric_product_forms(n)
         rhs = gp(sval, gp(tr._symbol(xi.T, value_algebra, 0, 1j), c))
         want = float(np.sqrt(float(np.sum(np.abs(lhs - rhs) ** 2)) / float(np.sum(np.abs(c) ** 2))))
         assert rp.commutation_residual(g, f, mode="modes") == want
+
+
+@pytest.mark.parametrize("value_algebra", ["Cl2", "H", "Cl3"])
+def test_natural_rep_on_grid_moves_is_the_rotor_times_the_permuted_samples_bit_for_bit(value_algebra):
+    n = alg.SPATIAL_DIM[value_algebra]
+    spec = fl.GridSpec(n, 16 if n == 2 else 8, 7.3)
+    rng = np.random.default_rng(45)
+    shape = spec.shape + (alg.get_algebra(value_algebra).dim,)
+    f = fl.CliffordField(spec, value_algebra, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if n == 2:
+        turns = [sp.spin2_from_angle(k * np.pi / 4) for k in (-1, 1, 2)]
+    else:
+        turns = [sp.spin3_from_axis_angle(e, t) for e in np.eye(3) for t in (-np.pi / 2, np.pi / 2)]
+    for s in turns + [-s for s in turns]:
+        for steps in (np.zeros(n), rng.integers(-spec.N, spec.N + 1, size=n)):
+            g = sp.GroupElement(1.0, s, spec.h * steps)
+            assert fl.is_grid_preserving(g, spec)
+            want = fl.left_multiply_constant(rp.spin_value_coefficients(s, value_algebra), fl.resample_action(g, f))
+            assert np.array_equal(rp.natural_rep(g, f).data, want.data)
+
+
+@pytest.mark.parametrize("value_algebra", ["Cl2", "H", "Cl3"])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_natural_rep_off_grid_is_the_weight_and_rotor_times_the_resampled_samples(value_algebra, r):
+    n = alg.SPATIAL_DIM[value_algebra]
+    spec = fl.GridSpec(n, 16 if n == 2 else 8, 7.3)
+    f = fl.make_band_limited_random(spec, value_algebra, 0.4, 46)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        g = sp.GroupElement(r, sp.random_spin(n, rng), rng.standard_normal(n))
+        assert not fl.is_grid_preserving(g, spec)
+        rotated = fl.left_multiply_constant(rp.spin_value_coefficients(g.s, value_algebra), fl.resample_action(g, f))
+        want = r ** (-n / 2) * rotated.data
+        assert np.linalg.norm(rp.natural_rep(g, f).data - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, f: fl.resample_action(g, f), id="resample_action"),
+    pytest.param(lambda g, f: rp.natural_rep_spectral(g, fl.spectral_forward(f)), id="natural_rep_spectral"),
+    pytest.param(lambda g, f: rp.commutation_residual(g, f, mode="modes"), id="commutation_residual"),
+    pytest.param(lambda g, f: rp.riesz_covariance_residual(g.s, f, mode="modes"), id="riesz_covariance_residual"),
+])
+def test_a_non_finite_sample_is_refused_not_read_as_an_empty_spectrum(call, bad):
+    spec = fl.GridSpec(2, 16, 8.0)
+    f = fl.make_band_limited_random(spec, "Cl2", 0.4, 48)
+    f.data[3, 5, 1] = bad
+    g = sp.GroupElement(1.3, sp.spin2_from_angle(0.4), np.array([0.21, -0.37]))
+    assert not fl.is_grid_preserving(g, spec)
+    # numpy's FFT warns when an infinite sample meets inf - inf
+    warns = pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad) else contextlib.nullcontext()
+    with pytest.raises(ValueError, match="non-finite"), warns:
+        call(g, f)
