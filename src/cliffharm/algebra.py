@@ -370,6 +370,21 @@ def pair_projector(algebra_name: str, pair_index: int) -> np.ndarray:
     return B @ B.conj().T
 
 
+def spinor_matrices(algebra_name: str, pair_index: int) -> tuple:
+    """B = pair_basis and the (n, 2, 2) stack of C_j = B^† L(e_j) B, the left
+    action of the vector e_j (blade slot j + 1) in the pair's two spinor
+    coordinates: e_j B = B C_j, because the ideal is closed under left
+    multiplication.  C_j is formed from the recorded columns and divided by
+    their norms last, so that its entries come out exact."""
+    a = get_algebra(algebra_name)
+    V = np.array(_PAIR_VECS[(algebra_name, pair_index)], dtype=complex)  # rows: the columns of B
+    E = np.eye(a.dim)[1 : SPATIAL_DIM[algebra_name] + 1]
+    moved = a.product(E[:, None, :], V[None, :, :])  # moved[j, k] = e_j v_k
+    norms2 = np.sum(np.abs(V) ** 2, axis=-1)
+    C = V.conj() @ moved.transpose(0, 2, 1) / np.sqrt(np.outer(norms2, norms2))
+    return pair_basis(algebra_name, pair_index), C
+
+
 def ideal_project(v: np.ndarray, id: IdealId) -> np.ndarray:
     """Orthogonal projection onto the generator line of the ideal."""
     g = ideal_generators(id)[0]

@@ -135,19 +135,42 @@ def _rows_out(lo, hi, buf, out, scale):
     out[lo:hi] *= scale
 
 
-def _centred_transform(x: np.ndarray, scale: float, inverse: bool) -> np.ndarray:
+def _centred_transform(x: np.ndarray, scale: float, inverse: bool, buf=None, out=None) -> np.ndarray:
     """fftshift(fftn(ifftshift(x))) * scale over the grid axes (ifftn if
     inverse) bit for bit, through two field-sized arrays.  numpy's fftn takes
     axis 0 last, one line at a time, so it runs as three passes over slabs
     of axis 0, split over threads on large fields (algebra._in_parts): rows
     shifted into buf and transformed over the other grid axes, columns of
-    buf along axis 0, rows of buf shifted into out and scaled."""
+    buf along axis 0, rows of buf shifted into out and scaled.  A caller may
+    pass the scratch buf and the result out, both of x's shape; out may be
+    x itself, which is read only in the first pass."""
     fftn, fft = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
-    buf, out = np.empty_like(x), np.empty_like(x)
+    buf = np.empty_like(x) if buf is None else buf
+    out = np.empty_like(x) if out is None else out
     alg._in_parts(_rows_in, len(x), x.size, x, buf, fftn)
     alg._in_parts(_columns, len(x), x.size, buf, fft)
     alg._in_parts(_rows_out, len(x), x.size, buf, out, scale)
     return out
+
+
+def _mapped_empty(shape) -> np.ndarray:
+    """An uninitialised complex array in its own anonymous memory mapping,
+    which goes back to the system when the array is freed.  For a large
+    result that the caller keeps: taken from the malloc heap among the
+    caller's shorter-lived arrays, it leaves free space around it that later
+    large arrays cannot reuse.  The mapping is advised to use huge pages, as
+    numpy advises its own large arrays, so that filling it faults in 2 MiB
+    at a time instead of 4 KiB.  Private where the platform says so, so that
+    a forked child copies it on write as it does the heap."""
+    # imported on first use, so that `import cliffharm` loads nothing more: loaded
+    # there, it moved the heap layout, and the peak RSS, of every process by about 1 MB
+    import mmap
+
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    m = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(complex).itemsize, **private)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        m.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(m, complex).reshape(shape)
 
 
 def spectral_forward(f: CliffordField) -> SpectralField:

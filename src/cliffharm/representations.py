@@ -39,6 +39,7 @@ from .transforms import (
     hardy_project,
     hilbert,
     hilbert_multiplier_at,
+    pair_hardy_project,
     riesz,
 )
 
@@ -144,9 +145,11 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
 
     Spatial ids compose the two-dimensional value-ideal projection with the
     pointwise-in-x factor chi_sign(x/|x|) (1/2 at the origin sample).
-    Fourier-side ids compose it with the Hardy projection chi_sign(xi/|xi|);
-    the ideal projection is a constant value matrix, so it commutes with the
-    transform.  HardyPlus/Minus work for any value algebra.
+    Fourier-side ids compose it with the Hardy projection chi_sign(xi/|xi|):
+    transforms.pair_hardy_project works in the pair's two spinor
+    coordinates, where chi_sign acts as a 2 x 2 symbol per bin, because the
+    ideal is closed under left multiplication.  HardyPlus/Minus work for
+    any value algebra.
 
     A section, for spatial ids only, is a callable from a (P, n) array of
     unit vectors w to a SpinElement holding P rotors s_w with
@@ -158,10 +161,10 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
         raise ValueError(f"{id.value} is not a spatial subspace; a section applies to spatial ids only")
     if info.pair is None:
         return hardy_project(info.sign, f)
-    pf = f._like(np.einsum("ab,...b->...a", pair_projector(f.value_algebra, info.pair), f.data))
     if info.domain == "fourier":
-        return hardy_project(info.sign, pf)
-    return pf._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), pf.data))
+        return pair_hardy_project(info.sign, f, info.pair)
+    pf = np.einsum("ab,...b->...a", pair_projector(f.value_algebra, info.pair), f.data)
+    return f._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), pf))
 
 
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
@@ -315,8 +318,8 @@ def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | No
     a = get_algebra(value_algebra)
     A = rotation_matrix(s)
     sval = spin_value_coefficients(s, value_algebra)
+    rhs = a.product(sval, hilbert_multiplier_at(xi, value_algebra))  # refuses a non-finite xi before A xi
     lhs = a.product(hilbert_multiplier_at(A @ xi, value_algebra), sval)
-    rhs = a.product(sval, hilbert_multiplier_at(xi, value_algebra))
     return float(np.linalg.norm(lhs - rhs))
 
 

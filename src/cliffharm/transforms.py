@@ -16,17 +16,18 @@ from math import gamma, isfinite, pi
 import numpy as np
 
 from . import fields as fl
-from .algebra import get_algebra, vector_embed
+from .algebra import _in_parts, get_algebra, spinor_matrices, vector_embed
 
 
 def _unit_direction(points):
     """Component arrays x_j/|x| with the origin mapped to 0."""
     mag = np.sqrt(sum(g * g for g in points))
+    origin = mag == 0
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for g in points:
             u = g / mag
-            u[~np.isfinite(u)] = 0.0
+            u[origin] = 0.0
             out.append(u)
     return out
 
@@ -67,9 +68,12 @@ def _parse_sign(sign) -> int:
 
 
 def hilbert_multiplier_at(xi, value_algebra: str | None = None) -> np.ndarray:
-    """The multivector i xi/|xi|; undefined at xi = 0.  A xi whose |xi|^2
-    overflows or is subnormal is first scaled by 1/max|xi_j|."""
+    """The multivector i xi/|xi|; undefined at xi = 0 and at a non-finite
+    xi.  A xi whose |xi|^2 overflows or is subnormal is first scaled by
+    1/max|xi_j|."""
     xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise ValueError(f"the Hilbert symbol needs a finite frequency, got {xi.tolist()}")
     if value_algebra is None:
         value_algebra = "Cl3" if xi.shape[0] == 3 else "Cl2"
     if not xi.any():
@@ -113,6 +117,90 @@ def hardy_project(sign, f: fl.CliffordField) -> fl.CliffordField:
     out = fl.apply_multiplier_array(chi_multiplier_array(f.spec, f.value_algebra, s), F)
     del F  # freed before the inverse transform allocates
     return fl.spectral_inverse(out)
+
+
+# grid points per block of the spinor symbol and of the assembly in pair_hardy_project
+_SPINOR_BLOCK = 2**13
+
+
+def pair_hardy_project(sign, f: fl.CliffordField, pair: int) -> fl.CliffordField:
+    """hardy_project(sign, P_j f) for P_j the projector onto the ambient pair
+    j of two-dimensional left ideals, worked in the pair's two spinor
+    coordinates c = B^† f (algebra.spinor_matrices).  The ideal is closed
+    under left multiplication, so chi_sign(xi) acts on c as the 2 x 2 symbol
+    1/2 I + sign 1/2 i sum_j u_j C_j, u = xi/|xi| (0 at the origin): two
+    one-component transforms each way instead of dim-component ones.  The
+    result has its own memory mapping (fields._mapped_empty), and the
+    temporaries are three one-component arrays and blocks."""
+    s = _parse_sign(sign)
+    spec = f.spec
+    B, C = spinor_matrices(f.value_algebra, pair)
+    out = fl._mapped_empty(f.data.shape)
+    flat = f.data.reshape(-1, B.shape[0])
+    G = [(flat @ b.conj()).reshape(spec.shape + (1,)) for b in B.T]
+    buf = np.empty_like(G[0])
+    for g in G:
+        fl._centred_transform(g, (spec.L / spec.N) ** spec.n, False, buf, g)
+    step = max(1, _SPINOR_BLOCK // spec.N ** (spec.n - 1))  # rows of axis 0 per block
+    blocks = -(-spec.N // step)
+    _in_parts(_spinor_symbol_blocks, blocks, G[0].size, step, G, spec.freq_axis(), s * 0.5j * C)
+    for g in G:
+        fl._centred_transform(g, (spec.N / spec.L) ** spec.n, True, buf, g)
+    del buf
+    _in_parts(_spinor_assemble_blocks, blocks, G[0].size, step, G, B, out)
+    return f._like(out)
+
+
+def _combine(pairs, out=None):
+    """The sum of c * x over the pairs (scalar c, array x) whose c is not 0,
+    written into out if given.  With no such pair: out set to 0, or None."""
+    pairs = [(c, x) for c, x in pairs if c]
+    if not pairs:
+        if out is not None:
+            out[...] = 0
+        return out
+    out = np.multiply(*pairs[0], out=out)
+    for c, x in pairs[1:]:
+        out += c * x
+    return out
+
+
+def _spinor_symbol_blocks(lo, hi, step, G, axis, K):
+    """Row blocks lo .. hi - 1 of the coordinate spectra G, in place, times
+    S = 1/2 I + sum_j u_j K_j bin by bin.  Each entry of S is formed where it
+    is used, so that a block holds few temporaries."""
+    n = K.shape[0]
+
+    def entry(a, b):
+        """S[a, b] on the block; a scalar where no K_j reaches it"""
+        m = _combine(zip(K[:, a, b], U))
+        half = 0.5 * (a == b)
+        if m is None:
+            return half
+        if half:
+            m += half
+        return m
+
+    for r in range(lo * step, min(hi * step, len(axis)), step):
+        rows = slice(r, r + step)
+        U = _unit_direction(np.meshgrid(axis[rows], *(axis,) * (n - 1), indexing="ij", sparse=True))
+        x, y = G[0][rows, ..., 0], G[1][rows, ..., 0]
+        first = entry(0, 0) * x
+        first += entry(0, 1) * y
+        cross = entry(1, 0) * x
+        y *= entry(1, 1)
+        y += cross
+        x[...] = first
+
+
+def _spinor_assemble_blocks(lo, hi, step, G, B, out):
+    """Row blocks lo .. hi - 1 of out = B c from the coordinates G, blade by
+    blade over the nonzero entries of B."""
+    for r in range(lo * step, min(hi * step, len(out)), step):
+        rows = slice(r, r + step)
+        coords = [g[rows, ..., 0] for g in G]
+        for a, row in enumerate(B):
+            _combine(zip(row, coords), out=out[rows, ..., a])
 
 
 def poisson_extend(f: fl.CliffordField, x0: float) -> fl.CliffordField:

@@ -134,6 +134,25 @@ def test_structure_tensor_is_read_only_in_algebra():
     assert not offenders, offenders
 
 
+@pytest.mark.parametrize("name,pair", list(alg._PAIR_VECS))
+def test_spinor_matrices_carry_the_left_action_of_each_vector(name, pair):
+    """B C_j = e_j B column by column against the oracle's blade arithmetic,
+    and the C_j anticommute exactly, as the vectors do: C_j C_k + C_k C_j =
+    -2 delta_jk I."""
+    gens = alg.get_algebra(name).gens
+    B, C = alg.spinor_matrices(name, pair)
+    assert np.array_equal(B, alg.pair_basis(name, pair))
+    n = alg.SPATIAL_DIM[name]
+    assert C.shape == (n, 2, 2)
+    for j in range(n):
+        e = np.eye(B.shape[0])[j + 1]
+        for k in range(2):
+            want = _from_oracle(oracle.mv_mul(_to_oracle(e, gens), _to_oracle(B[:, k], gens)), gens)
+            assert np.abs(B @ C[j][:, k] - want).max() <= 1e-15, (j, k)
+        for k in range(n):
+            assert np.array_equal(C[j] @ C[k] + C[k] @ C[j], -2.0 * (j == k) * np.eye(2)), (j, k)
+
+
 @pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3)])
 def test_clifford_conjugate_matches_oracle(name, gens):
     rng = np.random.default_rng(7)

@@ -83,6 +83,21 @@ def test_band_limited_random_keeps_the_whole_field_draw(n, N, algebra):
     assert np.array_equal(fl.make_band_limited_random(spec, algebra, 0.4, 7).data, want.data)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_mapped_result_is_a_private_writable_array():
+    """The mapping behind pair_hardy_project's result behaves as heap memory:
+    writable, and copied on write in a forked child, not shared with it."""
+    a = fl._mapped_empty((8, 8, 4))
+    assert a.shape == (8, 8, 4) and a.dtype == complex and a.flags.writeable
+    a[...] = 1.0
+    pid = os.fork()
+    if pid == 0:
+        a[...] = 7.0
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert np.all(a == 1.0)
+
+
 def test_spectral_transforms_hold_few_field_sized_arrays():
     f = fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "Cl3", 0.4, 8)
     size = f.data.nbytes
@@ -138,6 +153,15 @@ def test_split_transforms_equal_the_whole_field_transform(monkeypatch, threads, 
     F = fl.spectral_forward(f)
     assert np.array_equal(F.data, _centred_reference(f.data, (spec.L / N) ** n, False))
     assert np.array_equal(fl.spectral_inverse(F).data, _centred_reference(F.data, (N / spec.L) ** n, True))
+    # one-component arrays, as pair_hardy_project's spinor coordinates, also through
+    # a given scratch buffer and in place
+    x = f.data[..., :1].copy()
+    buf = np.empty_like(x)
+    for scale, inverse in (((spec.L / N) ** n, False), ((N / spec.L) ** n, True)):
+        want = _centred_reference(x, scale, inverse)
+        assert np.array_equal(fl._centred_transform(x, scale, inverse), want)
+        assert np.array_equal(fl._centred_transform(x, scale, inverse, buf, x), want)
+        assert np.array_equal(x, want)
 
 
 def test_only_fields_of_two_parts_make_the_pool(monkeypatch):

@@ -26,6 +26,15 @@ def test_exports_are_unique_public_and_not_modules():
     assert not [k for k in names if isinstance(getattr(cliffharm, k), ModuleType)]
 
 
+def test_import_loads_no_mmap_module():
+    """fields._mapped_empty imports mmap on first use: loaded by the package
+    import, it moved every process's heap layout and peak RSS."""
+    code = "import sys, cliffharm; print('mmap' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_star_import_binds_every_export():
     scope = {}
     exec("from cliffharm import *", scope)

@@ -1,5 +1,6 @@
 import contextlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,45 @@ def test_qhardy_projection_matches_the_fourier_side_formula(id):
     proj = np.einsum("ab,...b->...a", alg.pair_projector("H", info.pair), F.data)
     want = fl.spectral_inverse(fl.SpectralField(spec, "H", f.algebra.product(chi, proj)))
     assert fl.rel_error(rp.subspace_project(id, f), want) < 1e-14
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("pair", [1, 2])
+def test_qhardy_halves_split_the_pair_part_and_are_idempotent(N, pair):
+    spec = fl.GridSpec(3, N, 10.0)
+    f = fl.make_band_limited_random(spec, "H", 0.5, N + pair)
+    plus, minus = (rp.subspace_project(id, f) for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair)
+    pf = f._like(np.einsum("ab,...b->...a", alg.pair_projector("H", pair), f.data))
+    assert fl.rel_error(plus._like(plus.data + minus.data), pf) < 1e-13
+    for id, half in zip((id for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair), (plus, minus)):
+        assert fl.rel_error(rp.subspace_project(id, half), half) < 1e-12
+
+
+@pytest.mark.parametrize("name,pair", list(alg._PAIR_VECS))
+def test_pair_hardy_projection_matches_the_whole_field_route_on_every_pair(name, pair):
+    n = alg.SPATIAL_DIM[name]
+    spec = fl.GridSpec(n, 16, 7.0) if n == 3 else fl.GridSpec(2, 64, 7.0)
+    f = fl.make_band_limited_random(spec, name, 0.5, pair)
+    pf = f._like(np.einsum("ab,...b->...a", alg.pair_projector(name, pair), f.data))
+    for sign in (1, -1):
+        assert fl.rel_error(tr.pair_hardy_project(sign, f, pair), tr.hardy_project(sign, pf)) < 1e-14
+
+
+def test_qhardy_memory_stays_near_twice_the_field():
+    """The spinor coordinates are one component each; the route through the
+    whole-field Hardy projection peaked at 4x the field's bytes.  tracemalloc
+    sees numpy's heap arrays but not the result's own memory mapping, so the
+    result's bytes are added to the traced peak."""
+    f = fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "H", 0.4, 3)
+    for id in rp.QHARDY_IDS:
+        tracemalloc.start()
+        try:
+            out = rp.subspace_project(id, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = peak + (0 if out.data.flags.owndata else out.data.nbytes)
+        assert held < 2.5 * f.data.nbytes, (id.value, held / f.data.nbytes)
 
 
 def test_natural_rep_preserves_qhardy_with_off_grid_shift():

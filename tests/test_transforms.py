@@ -8,6 +8,7 @@ import pytest
 
 from cliffharm import algebra as alg
 from cliffharm import fields as fl
+from cliffharm import representations as rp
 from cliffharm import spin as sp
 from cliffharm import transforms as tr
 
@@ -67,6 +68,19 @@ def test_symbol_at_extreme_frequencies_is_i_times_the_direction(xi):
         tr.hilbert_multiplier_at(np.zeros_like(xi))
     with pytest.raises(ZeroDivisionError):
         tr.hilbert_multiplier_at(-np.zeros_like(xi))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symbol_refuses_a_non_finite_frequency(bad):
+    """A non-finite frequency has no direction.  The symbol used to come out
+    as the zero multivector there (nan) or after numpy's RuntimeWarning (inf),
+    and the equivariance residual read 0: a check that passed on nothing."""
+    spins = {2: sp.spin2_from_angle(0.3), 3: sp.spin3_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7)}
+    for xi in ([bad, 1.0, 0.0], [0.0, 1.0, bad], [bad, 2.0], [bad, bad, bad]):
+        with pytest.raises(ValueError, match="finite"):
+            tr.hilbert_multiplier_at(xi)
+        with pytest.raises(ValueError, match="finite"):
+            rp.multiplier_equivariance_residual(spins[len(xi)], xi)
 
 
 def test_symbol_at_ordinary_frequencies_is_not_rescaled():
