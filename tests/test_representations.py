@@ -162,10 +162,11 @@ def test_qhardy_projection_matches_the_fourier_side_formula(id):
 def test_qhardy_halves_split_the_pair_part_and_are_idempotent(N, pair):
     spec = fl.GridSpec(3, N, 10.0)
     f = fl.make_band_limited_random(spec, "H", 0.5, N + pair)
-    plus, minus = (rp.subspace_project(id, f) for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair)
+    ids = [id for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair]
+    plus, minus = (rp.subspace_project(id, f) for id in ids)
     pf = f._like(np.einsum("ab,...b->...a", alg.pair_projector("H", pair), f.data))
     assert fl.rel_error(plus._like(plus.data + minus.data), pf) < 1e-13
-    for id, half in zip((id for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair), (plus, minus)):
+    for id, half in zip(ids, (plus, minus)):
         assert fl.rel_error(rp.subspace_project(id, half), half) < 1e-12
 
 
