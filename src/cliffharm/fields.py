@@ -287,48 +287,75 @@ def is_grid_preserving(g: GroupElement, spec: GridSpec) -> bool:
 
 def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordField:
     """Samples of x -> f(g^{-1} x), or of x -> left f(g^{-1} x) for a constant
-    coefficient array left (natural_rep passes r^(-n/2) s).
+    coefficient array left (natural_rep passes r^(-n/2) s), at the points
+    y = r A^-1 x + b, (r, A, b) from g^-1, by one of three paths.  When the
+    rotor permutes the axes with signs, row a of A^-1 has one nonzero entry,
+    at column b, so y_a depends on x_b alone; the first two paths share the
+    per-axis coordinates r A^-1[a, b] x_b.
 
-    Grid-preserving g (r=1, axis quarter-turn spin, on-grid shift) permutes
-    the samples exactly: row a of A^-1 has one nonzero entry, at column b,
-    so source index a is one integer vector over output axis b, shaped to
-    broadcast along that axis, and the n vectors gather f.data in one fancy
-    index.  Any other g takes the trigonometric path: the field's occupied
-    frequency modes xi_m, with coefficients c_m, are summed at the points
-    y = r A^-1 x + b, (r, A, b) from g^-1.  That is exact for
-    band-limited data and an approximation otherwise.
+    - Grid-preserving g (r = 1, such a rotor, an on-grid shift) permutes the
+      samples exactly: source index a is one integer vector over output
+      axis b, shaped to broadcast along it, and the n vectors gather f.data
+      in one fancy index; left_multiply_constant applies left.
+    - Any other g with such a rotor resamples axis by axis: source axis a
+      goes through the N x N matrix T_a = P_a D, D[k, j] = e^{-2 pi i xi_k
+      x_j} / N the centred DFT, P_a[i, k] = e^{2 pi i r A^-1[a, b] x_i xi_k}
+      e^{2 pi i b_a xi_k} (the shift a phase per frequency, as in the phase
+      sum, not part of the coordinate).  Each T_a is one BLAS product over
+      an (N^a, N, rest) view into two field-sized work arrays in turn; one
+      more pass moves each source axis to its output axis and applies left
+      as the dim x dim matrix whose row j is left e_j.  n N^(n+1) dim
+      multiply-adds: no FFT, no mode search.
+    - Any other rotor takes the factored phase sum over the field's
+      occupied modes xi_m, with coefficients c_m.  Each phase splits as
+      e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
+      eta = r xi A^-1.  The shift phase and left are folded into c (M
+      products instead of N^n), each axis gets one (N, M) table E_a, and
+      the last axis goes into W[m, (k, d)] = E_n[k, m] c[m, d].  The output,
+      read as (N^(n-1), N dim), is (E_1 * ... * E_(n-1))[rows, m] @ W, in
+      blocks of at most _BLOCK rows and 2^20 / M rows: n N M exponentials
+      instead of N^n M.
 
-    The points are an affine image of the tensor grid, so each phase splits
-    as e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
-    eta = r xi A^-1.  The shift phase is folded into c, each axis gets one
-    (N, M) table E_a, and the last axis goes into W[m, (k, d)] =
-    E_n[k, m] c[m, d].  The output, read as (N^(n-1), N dim), is then
-    (E_1 * ... * E_(n-1))[rows, m] @ W, formed in blocks of at most
-    _BLOCK rows and 2^20 / M rows: n N M exponentials instead of N^n M.
-
-    A constant left factor commutes with the resampling.  The exact path
-    multiplies the permuted samples by it through left_multiply_constant;
-    the trigonometric path multiplies the M mode coefficients c before
-    synthesis, M products instead of N^n.
+    The last two paths evaluate the trigonometric interpolant, exact for
+    band-limited data, and refuse a non-finite sample with ValueError.
     """
     spec = f.spec
     if g.n != spec.n:
         raise ValueError("group element dimension does not match the grid")
     ginv = group_inverse(g)
     A_inv = rotation_matrix(ginv.s)
+    n, N, dim = spec.n, spec.N, f.algebra.dim
 
-    if is_grid_preserving(g, spec):
-        idx = []
-        for a_, b_ in enumerate(np.argmax(np.abs(A_inv), axis=1)):
-            y_a = ginv.r * A_inv[a_, b_] * spec.axis() + ginv.b[a_]
-            j = np.round((y_a + spec.L / 2) / spec.h).astype(int) % spec.N
-            idx.append(j.reshape([-1 if k == b_ else 1 for k in range(spec.n)]))
-        out = f._like(f.data[tuple(idx)])
-        return out if left is None else left_multiply_constant(left, out)
+    if _signed_permutation(A_inv):
+        cols = np.argmax(np.abs(A_inv), axis=1)
+        y = [ginv.r * A_inv[a_, b_] * spec.axis() for a_, b_ in enumerate(cols)]
+        if is_grid_preserving(g, spec):
+            idx = []
+            for a_, b_ in enumerate(cols):
+                j = np.round((y[a_] + ginv.b[a_] + spec.L / 2) / spec.h).astype(int) % N
+                idx.append(j.reshape([-1 if k == b_ else 1 for k in range(n)]))
+            out = f._like(f.data[tuple(idx)])
+            return out if left is None else left_multiply_constant(left, out)
+        if not np.all(np.isfinite(f.data)):
+            raise ValueError("field holds a non-finite sample")
+        xi = spec.freq_axis()
+        D = np.exp(-2j * np.pi * np.outer(xi, spec.axis())) / N
+        work, src = (np.empty_like(f.data), np.empty_like(f.data)), f.data
+        for a_ in range(n):
+            T = (np.exp(2j * np.pi * np.outer(y[a_], xi)) * np.exp(2j * np.pi * (ginv.b[a_] * xi))) @ D
+            np.matmul(T, src.reshape(N**a_, N, -1), out=work[a_ % 2].reshape(N**a_, N, -1))
+            src = work[a_ % 2]
+        # source axis a lands on output axis cols[a]; a left factor goes in as
+        # the dim x dim matrix whose row j is left e_j
+        moved, dst = src.transpose(tuple(np.argsort(cols)) + (n,)), work[n % 2]
+        if left is None:
+            dst[...] = moved
+        else:
+            np.matmul(moved, f.algebra.symbol_product(left, np.eye(dim, dtype=complex)), out=dst)
+        return f._like(dst)
 
     F = spectral_forward(f)
     occ, xi = occupied_modes(F)
-    n, N, dim = spec.n, spec.N, f.algebra.dim
     c = F.data[tuple(occ.T)] * (np.exp(2j * np.pi * (xi @ ginv.b)) / spec.L ** n)[:, None]
     if left is not None:
         c = f.algebra.symbol_product(left, c)

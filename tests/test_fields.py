@@ -463,6 +463,26 @@ def test_a_shift_past_float_resolution_takes_the_trigonometric_path(steps):
     assert abs(fl.norm(moved) - fl.norm(f)) <= 1e-10 * fl.norm(f)
 
 
+@pytest.mark.parametrize("steps", [2.0**53, 1e31])
+def test_a_shift_past_float_resolution_is_a_phase_per_mode_on_the_phase_sum(steps):
+    # the same shifts under a rotor that does not permute the axes.  Such a
+    # rotation is no isometry of the samples (the norm moves by about 1e-2
+    # with no shift at all), so the check is the unshifted move of the field
+    # whose occupied modes carry the shift's phases
+    spec = fl.GridSpec(2, 16, 8.0)
+    f = fl.make_band_limited_random(spec, "Cl2", 0.4, 12)
+    g = sp.GroupElement(1.0, sp.spin2_from_angle(0.4), np.array([steps * spec.h, 0.0]))
+    assert not fl.is_grid_preserving(g, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = fl.resample_action(g, f)
+    F = fl.spectral_forward(f)
+    idx, xi = fl.occupied_modes(F)
+    F.data[tuple(idx.T)] *= np.exp(2j * np.pi * (xi @ sp.inverse(g).b))[:, None]
+    want = fl.resample_action(sp.GroupElement(1.0, g.s, np.zeros(2)), fl.spectral_inverse(F))
+    assert fl.rel_error(moved, want) <= 1e-12
+
+
 def test_resample_composition_on_grid():
     spec = fl.GridSpec(2, 16, 8.0)
     f = fl.make_band_limited_random(spec, "Cl2", 0.4, 12)
@@ -506,6 +526,35 @@ def test_resample_off_grid_matches_direct_mode_sum(algebra, n, N, band):
     zero = fl.zero_field(spec, algebra)
     got = fl.resample_action(moves[0], zero).data
     assert not np.any(got) and np.array_equal(got, _direct_mode_sum(moves[0], zero))
+
+
+def _fields_for_the_per_axis_path():
+    out = []
+    for algebra, n, N, band in (("Cl2", 2, 32, 0.5), ("H", 3, 16, 0.4), ("Cl3", 3, 16, 0.4)):
+        f = fl.make_band_limited_random(fl.GridSpec(n, N, 9.0), algebra, band, 29)
+        out.append(pytest.param(f, id=f"{algebra}-{N}-band-{band}"))
+    # every bin occupied, the Nyquist planes included
+    spec = fl.GridSpec(3, 8, 9.0)
+    rng = np.random.default_rng(30)
+    shape = spec.shape + (8,)
+    out.append(pytest.param(fl.CliffordField(spec, "Cl3", rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
+                            id="Cl3-8-full-band"))
+    return out
+
+
+@pytest.mark.parametrize("f", _fields_for_the_per_axis_path())
+def test_resample_axis_permuting_moves_match_direct_mode_sum(f):
+    spec = f.spec
+    rng = np.random.default_rng(31)
+    zero = fl.zero_field(spec, f.value_algebra)
+    for s in _quarter_turn_rotors(spec.n):
+        for r in (0.5, 1.0, 2.0):
+            g = sp.GroupElement(r, s, rng.standard_normal(spec.n))
+            assert not fl.is_grid_preserving(g, spec)
+            want = _direct_mode_sum(g, f)
+            got = fl.resample_action(g, f).data
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert not np.any(fl.resample_action(g, zero).data)
 
 
 def _occupied_by_the_blade_axis_max(F):

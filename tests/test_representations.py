@@ -10,6 +10,7 @@ from cliffharm import fields as fl
 from cliffharm import representations as rp
 from cliffharm import spin as sp
 from cliffharm import transforms as tr
+from test_fields import _quarter_turn_rotors
 
 
 def _quarter_turn(n):
@@ -195,6 +196,22 @@ def test_qhardy_memory_stays_near_twice_the_field():
             tracemalloc.stop()
         held = peak + (0 if out.data.flags.owndata else out.data.nbytes)
         assert held < 2.5 * f.data.nbytes, (id.value, held / f.data.nbytes)
+
+
+@pytest.mark.parametrize("band", [0.2, 1.0])
+def test_axis_permuting_natural_rep_holds_two_field_sized_arrays(band):
+    # the phase sum peaked at 3.4x the field's bytes at band 0.2 and 48x at full band
+    spec = fl.GridSpec(3, 32, 10.0)
+    f = fl.make_band_limited_random(spec, "H", band, 32)
+    g = sp.GroupElement(1.0, _quarter_turn(3), np.array([0.31, -0.52, 0.17]))
+    assert not fl.is_grid_preserving(g, spec)
+    tracemalloc.start()
+    try:
+        rp.natural_rep(g, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * f.data.nbytes, peak / f.data.nbytes
 
 
 def test_natural_rep_preserves_qhardy_with_off_grid_shift():
@@ -524,28 +541,36 @@ def test_natural_rep_off_grid_is_the_weight_and_rotor_times_the_resampled_sample
     spec = fl.GridSpec(n, 16 if n == 2 else 8, 7.3)
     f = fl.make_band_limited_random(spec, value_algebra, 0.4, 46)
     rng = np.random.default_rng(47)
-    for _ in range(3):
-        g = sp.GroupElement(r, sp.random_spin(n, rng), rng.standard_normal(n))
+    rotors = [sp.random_spin(n, rng) for _ in range(3)] + _quarter_turn_rotors(n)
+    for s in rotors:
+        g = sp.GroupElement(r, s, rng.standard_normal(n))
         assert not fl.is_grid_preserving(g, spec)
         rotated = fl.left_multiply_constant(rp.spin_value_coefficients(g.s, value_algebra), fl.resample_action(g, f))
         want = r ** (-n / 2) * rotated.data
         assert np.linalg.norm(rp.natural_rep(g, f).data - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def _resample(g, f):
+    return fl.resample_action(g, f)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda g, f: fl.resample_action(g, f), id="resample_action"),
+    pytest.param(_resample, id="resample_action"),
     pytest.param(lambda g, f: rp.natural_rep_spectral(g, fl.spectral_forward(f)), id="natural_rep_spectral"),
     pytest.param(lambda g, f: rp.commutation_residual(g, f, mode="modes"), id="commutation_residual"),
     pytest.param(lambda g, f: rp.riesz_covariance_residual(g.s, f, mode="modes"), id="riesz_covariance_residual"),
 ])
-def test_a_non_finite_sample_is_refused_not_read_as_an_empty_spectrum(call, bad):
+@pytest.mark.parametrize("angle", [0.4, np.pi / 4], ids=["general-rotor", "axis-permuting-rotor"])
+def test_a_non_finite_sample_is_refused_not_read_as_an_empty_spectrum(call, bad, angle):
     spec = fl.GridSpec(2, 16, 8.0)
     f = fl.make_band_limited_random(spec, "Cl2", 0.4, 48)
     f.data[3, 5, 1] = bad
-    g = sp.GroupElement(1.3, sp.spin2_from_angle(0.4), np.array([0.21, -0.37]))
+    g = sp.GroupElement(1.3, sp.spin2_from_angle(angle), np.array([0.21, -0.37]))
     assert not fl.is_grid_preserving(g, spec)
-    # numpy's FFT warns when an infinite sample meets inf - inf
-    warns = pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad) else contextlib.nullcontext()
+    # numpy's FFT warns when an infinite sample meets inf - inf; resample_action
+    # refuses an axis-permuting move before any transform
+    transforms = not (call is _resample and angle == np.pi / 4)
+    warns = pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad) and transforms else contextlib.nullcontext()
     with pytest.raises(ValueError, match="non-finite"), warns:
         call(g, f)
