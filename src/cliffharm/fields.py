@@ -19,7 +19,7 @@ from . import algebra as alg
 from .spin import GroupElement, inverse as group_inverse, rotation_matrix
 
 MAGIC = b"CLF1"
-# rows of the per-axis phase product that resample_action forms at once (the
+# rows of the phase product that resample_action's phase sum forms at once (the
 # block size of Algebra.product), cut so that rows x modes stays within 2^20,
 # and the rows write_field_json encodes at once
 _BLOCK = 512
