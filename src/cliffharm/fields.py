@@ -58,6 +58,13 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return -self.L / 2 + self.h * np.arange(self.N)
 
+    def refined(self, factor: int) -> "GridSpec":
+        """This grid refined factor-fold per axis, refused above the point cap by name."""
+        if (self.N * factor) ** self.n > MAX_POINTS:
+            raise ValueError(f"refining a {self.N}^{self.n} grid {factor}x gives a {self.N * factor}^{self.n} grid, "
+                             f"above the cap of 2^22 = {MAX_POINTS} points")
+        return GridSpec(self.n, self.N * factor, self.L)
+
     def freq_axis(self) -> np.ndarray:
         return (np.arange(self.N) - self.N / 2) / self.L
 
@@ -380,16 +387,11 @@ def spectral_upsample(f: CliffordField, factor: int) -> CliffordField:
     if factor == 1:
         return f.copy()
     spec = f.spec
-    if (spec.N * factor) ** spec.n > MAX_POINTS:
-        raise ValueError(f"refining a {spec.N}^{spec.n} grid {factor}x gives a {spec.N * factor}^{spec.n} grid, "
-                         f"above the cap of 2^22 = {MAX_POINTS} points")
-    fine = GridSpec(spec.n, spec.N * factor, spec.L)
+    fine = spec.refined(factor)
     F = spectral_forward(f)
-    a = f.algebra
-    big = np.zeros(fine.shape + (a.dim,), dtype=complex)
+    big = np.zeros(fine.shape + (f.algebra.dim,), dtype=complex)
     off = (fine.N - spec.N) // 2
-    sl = tuple(slice(off, off + spec.N) for _ in range(spec.n))
-    big[sl] = F.data
+    big[(slice(off, off + spec.N),) * spec.n] = F.data
     return spectral_inverse(SpectralField(fine, f.value_algebra, big))
 
 

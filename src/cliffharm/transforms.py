@@ -255,83 +255,97 @@ def _image_sum(spec: fl.GridSpec, x0: float, p: int, images: int) -> list:
     Along each axis the offsets x + m L are y = h (k - c), k = 0 .. 2c-1,
     with c = images N + N/2, so 1/|q|^p is evaluated once per |y| on the
     radial grid h {0..c}^n and folded back to N points an axis at a time:
-    F sums the 2 images + 1 blocks of N entries of ext[k] = A[|k - c|], G
-    weights them by y first.  K_0 is F on every axis and K_a has G on axis
-    a.  The radial grid is taken in slabs of at most _SLAB points along
-    axis 0, the other axes folded in each slab, and axis 0 folded last."""
+    F adds ext[k] = A[|k - c|] at k mod N, G weights it by y first.  K_0
+    is F on every axis; K_a, G on axis a, is K_1 with axes 1 and a swapped.
+    Slabs of at most _SLAB points along axis 0 are evaluated in place,
+    folded by F on the other axes, and then straight into K_0 and K_1."""
     n, N, h = spec.n, spec.N, spec.h
     c = images * N + N // 2
     ry = h * np.arange(c + 1)  # |y|
     sq = ry * ry
 
-    def fold(A, axis, weighted):
-        folded = np.empty(A.shape[:axis] + (N,) + A.shape[axis + 1:])
-        A, out = np.moveaxis(A, axis, 0), np.moveaxis(folded, axis, 0)
-        if weighted:
-            A = A * ry.reshape((-1,) + (1,) * (A.ndim - 1))
-        down, up = A[c:0:-1], A[:c]  # ext[:c] (y < 0) and ext[c:] (y >= 0)
-        np.concatenate([down[c - N // 2:], up[: N // 2]], out=out)  # the block holding y = 0
-        if weighted:
-            out[: N // 2] *= -1
-        add_down = np.subtract if weighted else np.add
-        for m in range(images):
-            add_down(out, down[m * N:(m + 1) * N], out=out)
-            out += up[N // 2 + m * N:N // 2 + (m + 1) * N]
-        return folded
+    def fold(A, axis, lo=0, out=None):
+        """out (zeros if not given) plus each A[r] along axis, r = lo, lo + 1,
+        ..., added at (N/2 + r) mod N, where y = h r lands."""
+        if out is None:
+            out = np.zeros(A.shape[:axis] + (N,) + A.shape[axis + 1:])
+        A, U = np.moveaxis(A, axis, 0), np.moveaxis(out, axis, 0)
+        hi, r = lo + len(A), lo
+        while r < hi:  # a run of rows that lands without wrapping
+            t = (N // 2 + r) % N
+            m = min(N - t, hi - r)
+            U[t:t + m] += A[r - lo:r - lo + m]
+            r += m
+        return out
 
-    # S[b]: slabs folded by F on axes 1..n-1, except G on axis b (None: F throughout)
-    S = {b: np.empty((c + 1,) + spec.shape[1:]) for b in (None, *range(1, n))}
+    def mirror(U, axis, weighted, first, last):
+        """F = U + U mirrored or G = U - U mirrored (y = -h r lands at N/2 - r) in place from U,
+        the fold of every r, less row r = c (last) at y = c h and, for F, row y = 0 (first) twice."""
+        V = np.moveaxis(U, axis, 0)
+        (np.subtract if weighted else np.add)(V, V[-np.arange(N)], out=V)
+        V[0] -= ry[c] * last if weighted else last
+        V[N // 2] -= 0 if weighted else first
+        return U
+
+    K0, K1 = np.zeros(spec.shape), np.zeros(spec.shape)
     rows = max(1, _SLAB // (c + 1) ** (n - 1))
+    den = np.empty((rows,) + (c + 1,) * (n - 1))
     for lo in range(0, c + 1, rows):
-        r2 = sum(np.meshgrid(sq[lo:lo + rows], *(sq,) * (n - 1), indexing="ij", sparse=True), x0 * x0)
-        den = r2 ** (p // 2)
-        if p % 2:
-            den = den * np.sqrt(r2)
+        *lead, last = np.meshgrid(sq[lo:lo + rows], *(sq,) * (n - 1), indexing="ij", sparse=True)
+        q = np.add(sum(lead, x0 * x0), last, out=den[:len(lead[0])])  # |q|^2, then 1/|q|^p in place
+        root = np.sqrt(q) if p % 2 else None
+        if p // 2 != 1:
+            q **= p // 2
+        if root is not None:
+            q *= root
         with np.errstate(divide="ignore"):
-            inv = 1.0 / den
+            np.divide(1.0, q, out=q)
         if x0 == 0 and lo == 0:
-            inv[(0,) * n] = 0.0
-        part = {None: inv}
-        for axis in range(n - 1, 0, -1):
-            weighted = fold(part[None], axis, True)
-            part = {b: fold(A, axis, False) for b, A in part.items()}
-            part[axis] = weighted
-        for b, A in part.items():
-            S[b][lo:lo + rows] = A
-    K = [fold(S[None], 0, False), -fold(S[None], 0, True)] + [-fold(S[b], 0, False) for b in range(1, n)]
+            q[(0,) * n] = 0.0
+        for axis in range(1, n):
+            q = mirror(fold(q, axis), axis, False, q.take(0, axis), q.take(c, axis))
+        fold(q, 0, lo, K0)
+        fold(q * ry[lo:lo + len(q)].reshape((-1,) + (1,) * (n - 1)), 0, lo, K1)  # G: weighted by |y|
+        first = q[0] if lo == 0 else first  # the row r = 0; the last slab's last row is r = c
+    mirror(K0, 0, False, first, q[-1])
+    mirror(K1, 0, True, first, q[-1])
     T = _lattice_tail(n, spec.L, images) if p == n + 1 else 0.0
-    K[0] = -x0 * (K[0] + T)
-    for a, xa in enumerate(np.meshgrid(*(spec.axis(),) * n, indexing="ij", sparse=True)):
-        K[a + 1] += (T / n) * xa
-    return K
+    X = np.meshgrid(*(spec.axis(),) * n, indexing="ij", sparse=True)
+    return [-x0 * (K0 + T)] + [(T / n) * xa - np.swapaxes(K1, 0, a) for a, xa in enumerate(X)]
 
 
 def _correlate(kernels, blades, f: fl.CliffordField) -> np.ndarray:
-    """h^n sum_k sum_y K_k(y) e_k f(x + y) on the periodic grid of f, for
-    real kernels K_k and constant multivectors e_k: one forward transform of
-    f, the sum of conj(F K_k) (e_k F f) bin by bin, one inverse transform."""
+    """h^n sum_k sum_y K_k(y) e_k f(x + y) at f's grid points x, for real K_k
+    on f's grid refined per axis (spacing h), constant multivectors e_k, and
+    f's trigonometric interpolant, whose spectrum is f's zero-padded: so the
+    sum of conj(F K_k) e_k on f's band times F f, all on f's grid."""
     spec = f.spec
-    axes = tuple(range(spec.n))
+    n, N, fine = spec.n, spec.N, kernels[0].shape[0]
+    axes = tuple(range(n))
+    band = np.fft.ifftshift(np.arange(-(N // 2), N // 2)) % fine  # f's bins in fft order, on the fine grid
     M = np.zeros(f.data.shape, dtype=complex)
     for K, e in zip(kernels, blades):
-        M += np.conj(np.fft.fftn(np.fft.ifftshift(K)))[..., None] * e
+        X = np.fft.rfft(np.fft.ifftshift(K), axis=-1)  # K is real: bin -m of a line is conj(bin m)
+        X = np.concatenate([X[..., :N // 2], np.conj(X[..., N // 2:0:-1])], axis=-1)
+        for a in range(n - 1):  # the other axes, each cut to the band once transformed
+            X = np.fft.fft(X, axis=a).take(band, axis=a)
+        M += np.conj(X)[..., None] * e
     Fd = np.fft.fftn(np.fft.ifftshift(f.data, axes=axes), axes=axes)
     out = np.fft.ifftn(f.algebra.product(M, Fd), axes=axes)
-    return spec.h ** spec.n * np.fft.fftshift(out, axes=axes)
+    return (spec.L / fine) ** n * np.fft.fftshift(out, axes=axes)
 
 
 def pv_quadrature_riesz(j: int, f: fl.CliffordField) -> fl.CliffordField:
     """Independent spatial oracle for riesz(): the punctured periodized kernel
-    (2/|S^n|) y_j/|y|^(n+1) summed on the grid and on trigonometrically
-    interpolated 2x and 4x finer grids, combined by Richardson
-    extrapolation.  Slow by design; only used for cross-checks."""
+    (2/|S^n|) y_j/|y|^(n+1) sampled on the grid and on 2x and 4x finer grids,
+    each correlated with f in f's band, combined by Richardson extrapolation.
+    Slow by design; only used for cross-checks."""
     spec = f.spec
     scalar = np.eye(f.algebra.dim)[:1]
     S = []
     for factor in (1, 2, 4):
-        fu = fl.spectral_upsample(f, factor)
-        K = -2 / _sphere_area(spec.n) * _image_sum(fu.spec, 0.0, spec.n + 1, _IMAGES)[j + 1]
-        S.append(_correlate([K], scalar, fu)[(slice(None, None, factor),) * spec.n])
+        K = -2 / _sphere_area(spec.n) * _image_sum(spec.refined(factor), 0.0, spec.n + 1, _IMAGES)[j + 1]
+        S.append(_correlate([K], scalar, f))
     A = 2 * S[1] - S[0]
     B = 2 * S[2] - S[1]
     return f._like((8 * B - A) / 7)
@@ -343,21 +357,19 @@ def cauchy_extend(f: fl.CliffordField, x0: float, kernel_exponent: int | None = 
     The kernel is conj(q)/|q|^p with q the offset paravector u - x0 and
     p = n+1 by default (the harmonic-analysis exponent; the value p = n is
     kept selectable to demonstrate that it fails the boundary-limit tests).
-    Quadrature refines the grid by trigonometric interpolation (8x for n = 2,
-    2x for n = 3), periodizes by image sums, and corrects the truncated image
-    tail analytically; p = n takes the nearest image only.
+    The kernel is sampled on the grid refined 8x for n = 2 and 2x for n = 3,
+    periodized by image sums with the truncated tail corrected analytically
+    (p = n takes the nearest image only), and correlated with f in f's band;
+    the result has its own memory mapping (fields._mapped_empty).
     """
     if not (isfinite(x0) and x0 > 0):
         raise ValueError("extension height must be positive and finite")
-    spec = f.spec
-    n = spec.n
+    n = f.spec.n
     p = n + 1 if kernel_exponent is None else kernel_exponent
-    ups = 8 if n == 2 else 2
-    fu = fl.spectral_upsample(f, ups)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
-        K = _image_sum(fu.spec, x0, p, _IMAGES if p == n + 1 else 0)
-        C = _correlate(K, np.eye(f.algebra.dim)[: n + 1], fu)[(slice(None, None, ups),) * n]
-    C = C * (-1.0 / _sphere_area(n))
+        K = _image_sum(f.spec.refined(8 if n == 2 else 2), x0, p, _IMAGES if p == n + 1 else 0)
+        C = np.multiply(_correlate(K, np.eye(f.algebra.dim)[: n + 1], f), -1.0 / _sphere_area(n),
+                        out=fl._mapped_empty(f.data.shape))
     if not np.isfinite(C).all():
         # the kernel underflows at an on-grid image point for a tiny x0 and overflows for a huge one
         raise ValueError(f"the Cauchy integral at height {x0!r} is not finite")
