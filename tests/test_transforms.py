@@ -323,8 +323,7 @@ def test_image_sum_matches_a_direct_sum(n, tail, x0):
 def test_image_sum_memory_is_bounded_by_its_slabs():
     # the radial grid of a 32^3 grid with 4 images is 145^3 points (24 MiB);
     # it is evaluated in one slab buffer of at most 2^18 points (2 MiB) and
-    # each slab folded straight into the parts: 3.6 MiB measured, against
-    # 11.8 MiB while a (c + 1) x N^(n-1) store was kept per folded part
+    # each slab folded straight into the parts: 3.6 MiB measured
     tracemalloc.start()
     try:
         tr._image_sum(fl.GridSpec(3, 32, 10.0), 0.2, 4, tr._IMAGES)
