@@ -22,7 +22,6 @@ from .algebra import (
     ideal_project,
     pair_basis,
     pair_projector,
-    paravector_inverse,
     phi_even_to_h,
     vector_embed,
     vector_part,

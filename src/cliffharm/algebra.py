@@ -278,26 +278,6 @@ def vector_part(a: np.ndarray, spatial_n: int) -> np.ndarray:
     return np.asarray(a)[..., 1 : spatial_n + 1]
 
 
-def paravector_inverse(x: np.ndarray, algebra: Algebra | str) -> np.ndarray:
-    """Kelvin-type inversion of a pure vector: x -> x/|x|^2.
-
-    The product of the input with the result is -1 (vectors square to
-    -|x|^2).  Input must be a pure grade-1 vector; the zero vector is
-    singular.
-    """
-    alg = get_algebra(algebra) if isinstance(algebra, str) else algebra
-    x = np.asarray(x, dtype=complex)
-    nonvec = x.copy()
-    nonvec[..., 1 : alg.gens + 1] = 0
-    total = coeff_norm(x)
-    if coeff_norm(nonvec) > 1e-12 * max(total, 1.0):
-        raise ValueError("paravector_inverse requires a pure grade-1 vector")
-    mag2 = np.sum(np.abs(x) ** 2, axis=-1, keepdims=True)
-    if np.any(mag2 == 0):
-        raise ZeroDivisionError("paravector_inverse is singular at the zero vector")
-    return x / mag2
-
-
 _i = 1j
 
 # One row per ideal line: ambient algebra, index j of the ambient pair in

@@ -22,7 +22,6 @@ from .algebra import (
     SPATIAL_DIM,
     get_algebra,
     pair_basis,
-    pair_projector,
     phi_even_to_h,
 )
 from .spin import (
@@ -40,6 +39,7 @@ from .transforms import (
     hilbert,
     hilbert_multiplier_at,
     pair_hardy_project,
+    pair_spatial_project,
     riesz,
 )
 
@@ -143,17 +143,17 @@ def _check_field_matches(info: SubspaceInfo, f) -> None:
 def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.CliffordField:
     """Orthogonal projection onto the named subspace.
 
-    Spatial ids compose the two-dimensional value-ideal projection with the
-    pointwise-in-x factor chi_sign(x/|x|) (1/2 at the origin sample).
-    Fourier-side ids compose it with the Hardy projection chi_sign(xi/|xi|):
-    transforms.pair_hardy_project works in the pair's two spinor
-    coordinates, where chi_sign acts as a 2 x 2 symbol per bin, because the
-    ideal is closed under left multiplication.  HardyPlus/Minus work for
-    any value algebra.
+    Pair ids compose the projection onto the pair's value ideal with
+    chi_sign(x/|x|) (1/2 at the origin sample) for spatial ids, and with the
+    Hardy projection chi_sign(xi/|xi|) for Fourier-side ids.  Both work in
+    the pair's two spinor coordinates, where chi_sign is a 2 x 2 form per
+    point (transforms.pair_spatial_project and pair_hardy_project).
+    HardyPlus/Minus work for any value algebra.
 
     A section, for spatial ids only, is a callable from a (P, n) array of
     unit vectors w to a SpinElement holding P rotors s_w with
-    s_w e_n s_w^-1 = w; the factor is then assembled as s_w chi(e_n) s_w^-1.
+    s_w e_n s_w^-1 = w; the factor s_w chi(e_n) s_w^-1 is then assembled
+    and applied to the pair part through Algebra.product.
     """
     info = SUBSPACE_INFO[id]
     _check_field_matches(info, f)
@@ -163,8 +163,10 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
         return hardy_project(info.sign, f)
     if info.domain == "fourier":
         return pair_hardy_project(info.sign, f, info.pair)
-    pf = np.einsum("ab,...b->...a", pair_projector(f.value_algebra, info.pair), f.data)
-    return f._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), pf))
+    if section is None:
+        return pair_spatial_project(info.sign, f, info.pair)
+    B = pair_basis(f.value_algebra, info.pair)
+    return f._like(f.algebra.product(_chi_spatial_array(f, info.sign, section), f.data @ B.conj() @ B.T))
 
 
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
@@ -247,18 +249,19 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
     subspace membership when an id is named); the image stays inside it.
     """
     s_ = _parse_sign(sign)
-    if subspace is not None:
-        info = SUBSPACE_INFO[subspace]
-        if info.domain != "spatial":
-            raise ValueError("induced_rep checks membership against spatial ids")
-        if info.sign != s_:
-            raise ValueError("subspace sign does not match the representation sign")
-        residual = subspace_membership_residual(subspace, f)
-        label = subspace.value
-    else:
-        residual = _spatial_half_residual(s_, f)
-        label = f"chi({'+' if s_ > 0 else '-'}) half-space"
-    if residual > 1e-8:
+    with np.errstate(invalid="ignore"):  # a non-finite sample gives a NaN residual, refused below
+        if subspace is not None:
+            info = SUBSPACE_INFO[subspace]
+            if info.domain != "spatial":
+                raise ValueError("induced_rep checks membership against spatial ids")
+            if info.sign != s_:
+                raise ValueError("subspace sign does not match the representation sign")
+            residual = subspace_membership_residual(subspace, f)
+            label = subspace.value
+        else:
+            residual = _spatial_half_residual(s_, f)
+            label = f"chi({'+' if s_ > 0 else '-'}) half-space"
+    if not residual <= 1e-8:
         raise SubspaceMembershipError(f"input is not a {label} member", residual)
     out = natural_rep(GroupElement(1.0 / g.r, g.s, np.zeros(g.n)), f)
     X = f.spec.coords()

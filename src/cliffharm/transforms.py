@@ -119,35 +119,48 @@ def hardy_project(sign, f: fl.CliffordField) -> fl.CliffordField:
     return fl.spectral_inverse(out)
 
 
-# grid points per block of the spinor symbol and of the assembly in pair_hardy_project
+# grid points per block of the spinor symbol and of the assembly
 _SPINOR_BLOCK = 2**13
 
 
 def pair_hardy_project(sign, f: fl.CliffordField, pair: int) -> fl.CliffordField:
-    """hardy_project(sign, P_j f) for P_j the projector onto the ambient pair
-    j of two-dimensional left ideals, worked in the pair's two spinor
-    coordinates c = B^† f (algebra.spinor_matrices).  The ideal is closed
-    under left multiplication, so chi_sign(xi) acts on c as the 2 x 2 symbol
-    1/2 I + sign 1/2 i sum_j u_j C_j, u = xi/|xi| (0 at the origin): two
-    one-component transforms each way instead of dim-component ones.  The
-    result has its own memory mapping (fields._mapped_empty), and the
-    temporaries are three one-component arrays and blocks."""
+    """hardy_project(sign, P_j f): the 2 x 2 form of pair_spatial_project at
+    u = xi/|xi|, between two one-component transforms each way instead of
+    dim-component ones.  The temporaries are three one-component arrays."""
     s = _parse_sign(sign)
     spec = f.spec
-    B, C = spinor_matrices(f.value_algebra, pair)
-    out = fl._mapped_empty(f.data.shape)
-    flat = f.data.reshape(-1, B.shape[0])
-    G = [(flat @ b.conj()).reshape(spec.shape + (1,)) for b in B.T]
+    B, C, G = _spinor_coordinates(f, pair)
     buf = np.empty_like(G[0])
     for g in G:
         fl._centred_transform(g, (spec.L / spec.N) ** spec.n, False, buf, g)
-    step = max(1, _SPINOR_BLOCK // spec.N ** (spec.n - 1))  # rows of axis 0 per block
-    blocks = -(-spec.N // step)
-    _in_parts(_spinor_symbol_blocks, blocks, G[0].size, step, G, spec.freq_axis(), s * 0.5j * C)
+    _in_parts(_spinor_symbol_blocks, spec.N, G[0].size, G, spec.freq_axis(), s * 0.5j * C)
     for g in G:
         fl._centred_transform(g, (spec.N / spec.L) ** spec.n, True, buf, g)
     del buf
-    _in_parts(_spinor_assemble_blocks, blocks, G[0].size, step, G, B, out)
+    return _spinor_assemble(f, G, B)
+
+
+def pair_spatial_project(sign, f: fl.CliffordField, pair: int) -> fl.CliffordField:
+    """chi_sign(x/|x|) P_j f for P_j the projector onto the ambient pair j of
+    two-dimensional left ideals, in the pair's spinor coordinates c = B^† f
+    (algebra.spinor_matrices): e_j B = B C_j, so chi_sign(u) acts on c as
+    1/2 I + sign 1/2 i sum_j u_j C_j, u = x/|x| (0 at the origin)."""
+    B, C, G = _spinor_coordinates(f, pair)
+    _in_parts(_spinor_symbol_blocks, f.spec.N, G[0].size, G, f.spec.axis(), _parse_sign(sign) * 0.5j * C)
+    return _spinor_assemble(f, G, B)
+
+
+def _spinor_coordinates(f: fl.CliffordField, pair: int) -> tuple:
+    """B, the C_j and c = B^† f as two one-component arrays."""
+    B, C = spinor_matrices(f.value_algebra, pair)
+    flat = f.data.reshape(-1, B.shape[0])
+    return B, C, [(flat @ b.conj()).reshape(f.spec.shape + (1,)) for b in B.T]
+
+
+def _spinor_assemble(f: fl.CliffordField, G, B) -> fl.CliffordField:
+    """B c from the coordinates G, in its own mapping (fields._mapped_empty)."""
+    out = fl._mapped_empty(f.data.shape)
+    _in_parts(_spinor_assemble_blocks, len(out), G[0].size, G, B, out)
     return f._like(out)
 
 
@@ -165,10 +178,12 @@ def _combine(pairs, out=None):
     return out
 
 
-def _spinor_symbol_blocks(lo, hi, step, G, axis, K):
-    """Row blocks lo .. hi - 1 of the coordinate spectra G, in place, times
-    S = 1/2 I + sum_j u_j K_j bin by bin.  Each entry of S is formed where it
-    is used, so that a block holds few temporaries."""
+def _spinor_symbol_blocks(lo, hi, G, axis, K):
+    """Rows lo .. hi - 1 of the coordinates G, in place, times
+    S = 1/2 I + sum_j u_j K_j point by point, u the unit direction of the
+    points on axis (samples or bins), in blocks of about _SPINOR_BLOCK
+    points.  Each entry of S is formed where it is used, so that a block
+    holds few temporaries."""
     n = K.shape[0]
 
     def entry(a, b):
@@ -181,8 +196,9 @@ def _spinor_symbol_blocks(lo, hi, step, G, axis, K):
             m += half
         return m
 
-    for r in range(lo * step, min(hi * step, len(axis)), step):
-        rows = slice(r, r + step)
+    step = max(1, _SPINOR_BLOCK // G[0][0].size)  # rows per block
+    for r in range(lo, hi, step):
+        rows = slice(r, min(r + step, hi))
         U = _unit_direction(np.meshgrid(axis[rows], *(axis,) * (n - 1), indexing="ij", sparse=True))
         x, y = G[0][rows, ..., 0], G[1][rows, ..., 0]
         first = entry(0, 0) * x
@@ -193,11 +209,12 @@ def _spinor_symbol_blocks(lo, hi, step, G, axis, K):
         x[...] = first
 
 
-def _spinor_assemble_blocks(lo, hi, step, G, B, out):
-    """Row blocks lo .. hi - 1 of out = B c from the coordinates G, blade by
-    blade over the nonzero entries of B."""
-    for r in range(lo * step, min(hi * step, len(out)), step):
-        rows = slice(r, r + step)
+def _spinor_assemble_blocks(lo, hi, G, B, out):
+    """Rows lo .. hi - 1 of out = B c from the coordinates G, blade by blade
+    over the nonzero entries of B."""
+    step = max(1, _SPINOR_BLOCK // G[0][0].size)
+    for r in range(lo, hi, step):
+        rows = slice(r, min(r + step, hi))
         coords = [g[rows, ..., 0] for g in G]
         for a, row in enumerate(B):
             _combine(zip(row, coords), out=out[rows, ..., a])

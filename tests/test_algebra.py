@@ -322,19 +322,6 @@ def test_vector_embed_and_part_roundtrip():
     assert alg.coeff_norm(emb[[0, 4, 5, 6, 7]]) == 0.0
 
 
-def test_paravector_inverse_examples():
-    x = alg.vector_embed(np.array([3.0, 4.0]), "Cl2")
-    xi = alg.paravector_inverse(x, "Cl2")
-    prod = alg.geometric_product(x, xi, "Cl2")
-    want = np.zeros(4, dtype=complex)
-    want[0] = -1.0
-    assert alg.coeff_norm(prod - want) < 1e-14
-    with pytest.raises(ValueError):
-        alg.paravector_inverse(np.array([1.0, 0, 0, 1.0]), "Cl2")
-    with pytest.raises(ZeroDivisionError):
-        alg.paravector_inverse(np.zeros(4), "Cl2")
-
-
 def test_serialization_roundtrip():
     rng = np.random.default_rng(9)
     for dim in (4, 8):

@@ -158,17 +158,45 @@ def test_qhardy_projection_matches_the_fourier_side_formula(id):
     assert fl.rel_error(rp.subspace_project(id, f), want) < 1e-14
 
 
+_PAIR_FAMILIES = sorted({(id.value.split("(")[0], info.pair) for id, info in rp.SUBSPACE_INFO.items() if info.pair})
+
+
 @pytest.mark.parametrize("N", [16, 32])
-@pytest.mark.parametrize("pair", [1, 2])
-def test_qhardy_halves_split_the_pair_part_and_are_idempotent(N, pair):
-    spec = fl.GridSpec(3, N, 10.0)
-    f = fl.make_band_limited_random(spec, "H", 0.5, N + pair)
-    ids = [id for id in rp.QHARDY_IDS if rp.SUBSPACE_INFO[id].pair == pair]
+@pytest.mark.parametrize("family,pair", _PAIR_FAMILIES)
+def test_qhardy_halves_split_the_pair_part_and_are_idempotent(family, pair, N):
+    ids = [id for id in rp.SubspaceId if id.value.startswith(f"{family}({pair},")]
+    info = rp.SUBSPACE_INFO[ids[0]]
+    spec = fl.GridSpec(info.n, N, 10.0)
+    f = fl.make_band_limited_random(spec, info.value_algebra, 0.5, N + pair)
+    if info.domain == "spatial":
+        f.data[(N // 2,) * info.n] = 0.0  # chi(x/|x|) is 1/2 at the origin sample, as chi(xi/|xi|) at xi = 0
     plus, minus = (rp.subspace_project(id, f) for id in ids)
-    pf = f._like(np.einsum("ab,...b->...a", alg.pair_projector("H", pair), f.data))
+    pf = f._like(np.einsum("ab,...b->...a", alg.pair_projector(info.value_algebra, pair), f.data))
     assert fl.rel_error(plus._like(plus.data + minus.data), pf) < 1e-13
     for id, half in zip(ids, (plus, minus)):
         assert fl.rel_error(rp.subspace_project(id, half), half) < 1e-12
+
+
+def _dense_spatial_projection(id, f):
+    """The pair part through the dim x dim projector, then the whole
+    chi(x/|x|) array through Algebra.product: a reference kept apart from the
+    spinor coordinates of transforms.pair_spatial_project."""
+    info = rp.SUBSPACE_INFO[id]
+    pf = np.einsum("ab,...b->...a", alg.pair_projector(f.value_algebra, info.pair), f.data)
+    return f._like(f.algebra.product(rp._chi_spatial_array(f, info.sign), pf))
+
+
+_SPATIAL_CASES = [(id, N) for ids, N in ((rp.QUATERNION_SPATIAL_IDS, 16), (rp.QUATERNION_SPATIAL_IDS, 32),
+                                         (rp.CL3_SPATIAL_IDS, 32), (rp.CL2_SPATIAL_IDS, 64)) for id in ids]
+
+
+@pytest.mark.parametrize("id,N", _SPATIAL_CASES, ids=[f"{id.value}-{N}" for id, N in _SPATIAL_CASES])
+def test_spatial_projection_matches_the_dense_route(id, N):
+    info = rp.SUBSPACE_INFO[id]
+    spec = fl.GridSpec(info.n, N, 10.0)
+    raw = fl.make_band_limited_random(spec, info.value_algebra, 0.5, N)
+    for f in (raw, rp.random_subspace_member(id, spec, N + 1)):
+        assert fl.rel_error(rp.subspace_project(id, f), _dense_spatial_projection(id, f)) < 1e-14
 
 
 @pytest.mark.parametrize("name,pair", list(alg._PAIR_VECS))
@@ -181,13 +209,15 @@ def test_pair_hardy_projection_matches_the_whole_field_route_on_every_pair(name,
         assert fl.rel_error(tr.pair_hardy_project(sign, f, pair), tr.hardy_project(sign, pf)) < 1e-14
 
 
-def test_qhardy_memory_stays_near_twice_the_field():
-    """The spinor coordinates are one component each; the route through the
-    whole-field Hardy projection peaked at 4x the field's bytes.  tracemalloc
+@pytest.mark.parametrize("ids", [rp.QHARDY_IDS, rp.QUATERNION_SPATIAL_IDS], ids=["QHardy", "TildeH"])
+def test_qhardy_memory_stays_near_twice_the_field(ids):
+    """The spinor coordinates are one component each.  The route through the
+    whole-field Hardy projection peaked at 4x the field's bytes, and the
+    spatial ids' dense projector and chi(x/|x|) array at 3.1x.  tracemalloc
     sees numpy's heap arrays but not the result's own memory mapping, so the
     result's bytes are added to the traced peak."""
     f = fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "H", 0.4, 3)
-    for id in rp.QHARDY_IDS:
+    for id in ids:
         tracemalloc.start()
         try:
             out = rp.subspace_project(id, f)
@@ -396,6 +426,20 @@ def test_residuals_refuse_a_zero_field(mode):
 def test_membership_residuals_refuse_a_zero_field(residual):
     with pytest.raises(ValueError):
         residual(_zero_cl2_field())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("subspace", [None, rp.SubspaceId.TildeH1Plus])
+def test_induced_rep_refuses_a_non_finite_field(subspace, bad):
+    """A non-finite sample makes the membership residual NaN, which must not
+    read as a pass."""
+    spec = fl.GridSpec(3, 8, 10.0)
+    member = rp.random_subspace_member(rp.SubspaceId.TildeH1Plus, spec, 13)
+    g = sp.GroupElement(1.0, _quarter_turn(3), np.zeros(3))
+    rp.induced_rep("+", g, member, subspace)
+    member.data[1, 2, 3, 0] = bad
+    with pytest.raises(rp.SubspaceMembershipError, match="residual nan"):
+        rp.induced_rep("+", g, member, subspace)
 
 
 @pytest.mark.parametrize("subspace", [None, rp.SubspaceId.TildeTildeH1Plus])
