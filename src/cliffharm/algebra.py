@@ -16,8 +16,6 @@ table.
 from __future__ import annotations
 
 import os
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -53,47 +51,34 @@ _CHUNK = 512
 # Points per block in Algebra.symbol_product: its one permuted copy of the
 # right operand holds _SYMBOL_BLOCK * dim entries, no more than product's gather.
 _SYMBOL_BLOCK = 2048
-# A field-sized pass (a stage of the centred transform, the blade loop) is cut
-# into parts of at least _PART complex values (2 MiB), at most one per CPU the
-# process may run on; a smaller pass runs whole in the calling thread.  The
-# first pass that splits makes the pool.
+# The passes that gain from a second thread, the stages of the centred transform
+# (fields._centred_transform) and the blade loop (symbol_product), are cut into
+# parts of at least _PART complex values (2 MiB), at most one per CPU the process
+# may run on; a smaller pass runs whole in the calling thread.  The first pass
+# that splits makes the pool.
 _PART = 2**17
 _pool = None
 
 
 class _Pool:
-    """size - 1 daemon threads that run the parts of split passes; a caller
-    runs the first part of its pass itself.  Plain threads, so the first
-    pass that splits imports nothing."""
+    """size - 1 worker threads of a concurrent.futures.ThreadPoolExecutor,
+    which drops each part once it has run; a caller runs the first part of
+    its pass itself.  Imported on first use, as fields._mapped_empty imports
+    mmap: with the logging module it pulls in, it takes 4-8 ms."""
 
     def __init__(self, size: int):
-        self.pid, self.size = os.getpid(), size
-        self._parts, self._ready = deque(), threading.Semaphore(0)
-        for _ in range(size - 1):
-            threading.Thread(target=self._serve, daemon=True).start()
+        from concurrent.futures import ThreadPoolExecutor
 
-    def _serve(self):
-        while True:
-            self._ready.acquire()
-            fn, lo, hi, args, errors, done = self._parts.popleft()
-            try:
-                fn(lo, hi, *args)
-            except BaseException as err:  # raised in the caller of run
-                errors.append(err)
-            done.release()
-            del fn, args, errors, done  # no array of the part stays held while the thread waits
+        self.pid, self.size = os.getpid(), size
+        self._executor = ThreadPoolExecutor(max(1, size - 1))
 
     def run(self, fn, bounds: list, args: tuple) -> None:
-        errors, done = [], threading.Semaphore(0)
-        for lo, hi in bounds[1:]:
-            self._parts.append((fn, lo, hi, args, errors, done))
-            self._ready.release()
+        parts = [self._executor.submit(fn, lo, hi, *args) for lo, hi in bounds[1:]]
         try:
             fn(*bounds[0], *args)
         finally:
-            for _ in bounds[1:]:
-                done.acquire()
-        if errors:
+            errors = [err for err in (p.exception() for p in parts) if err is not None]  # waits for each part
+        if errors:  # raised in the caller once every part has ended
             raise errors[0]
 
 
@@ -168,7 +153,8 @@ class Algebra:
         bit.  On general complex m numpy's complex multiply (which fuses
         multiply-adds) rounds differently from the einsum in `product`, by
         about 1e-16 relative, so `product` stays the general kernel.  On a
-        large field, groups of blocks run on the thread pool (_in_parts)."""
+        large field, groups of blocks run on the thread pool (_in_parts),
+        each into its own rows, so that the bits do not depend on the split."""
         m = np.asarray(m)
         b = np.asarray(b)
         lead = np.broadcast_shapes(m.shape[:-1], b.shape[:-1])

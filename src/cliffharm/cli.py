@@ -86,10 +86,15 @@ def _build_config(args) -> su.SuiteConfig:
     return su.SuiteConfig(**values, tol_overrides=tols)
 
 
+def _refuse_output_path(path, what: str) -> None:
+    """Refuse, before any work is done, a path that is a directory or lies in none."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise su.UsageError(f"{what} path {path!r} is a directory or lies in no existing directory")
+
+
 def _run_verify(args) -> int:
     cfg = _build_config(args)
-    if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
-        raise su.UsageError(f"report path {cfg.out!r} is a directory or lies in no existing directory")
+    _refuse_output_path(cfg.out, "report")
     if args.emit_plots:
         os.makedirs(args.emit_plots, exist_ok=True)
     results, extras = su.run_suite(cfg)
@@ -153,6 +158,7 @@ def _parse_op(opspec: str):
 
 def _run_transform(args) -> int:
     op = _parse_op(args.op)
+    _refuse_output_path(args.output, "output")
     f = fl.read_field(args.input)
     g = op(f)
     fl.write_field(g, args.output)

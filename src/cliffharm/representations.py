@@ -172,7 +172,14 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
     """|| f - P f || / || f || for P the subspace projection.  Raises
     ValueError on an all-zero field: there is nothing to check."""
+    _refuse_non_finite(f)
     return fl.rel_error(subspace_project(id, f), f)
+
+
+def _refuse_non_finite(f: fl.CliffordField) -> None:
+    """Its residual would be NaN, which passes a `residual > tol` test."""
+    if not np.isfinite(f.data).all():
+        raise SubspaceMembershipError("field holds a non-finite sample", float("nan"))
 
 
 _DEFAULT_ALGEBRA = {2: "Cl2", 3: "H"}
@@ -239,6 +246,7 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
     """Distance to the pointwise condition f = chi_sign(x/|x|) f, relative
     to || f ||; ValueError on an all-zero field."""
+    _refuse_non_finite(f)
     return fl.rel_error(f._like(f.algebra.product(_chi_spatial_array(f, sign), f.data)), f)
 
 
@@ -249,18 +257,17 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
     subspace membership when an id is named); the image stays inside it.
     """
     s_ = _parse_sign(sign)
-    with np.errstate(invalid="ignore"):  # a non-finite sample gives a NaN residual, refused below
-        if subspace is not None:
-            info = SUBSPACE_INFO[subspace]
-            if info.domain != "spatial":
-                raise ValueError("induced_rep checks membership against spatial ids")
-            if info.sign != s_:
-                raise ValueError("subspace sign does not match the representation sign")
-            residual = subspace_membership_residual(subspace, f)
-            label = subspace.value
-        else:
-            residual = _spatial_half_residual(s_, f)
-            label = f"chi({'+' if s_ > 0 else '-'}) half-space"
+    if subspace is not None:
+        info = SUBSPACE_INFO[subspace]
+        if info.domain != "spatial":
+            raise ValueError("induced_rep checks membership against spatial ids")
+        if info.sign != s_:
+            raise ValueError("subspace sign does not match the representation sign")
+        residual = subspace_membership_residual(subspace, f)
+        label = subspace.value
+    else:
+        residual = _spatial_half_residual(s_, f)
+        label = f"chi({'+' if s_ > 0 else '-'}) half-space"
     if not residual <= 1e-8:
         raise SubspaceMembershipError(f"input is not a {label} member", residual)
     out = natural_rep(GroupElement(1.0 / g.r, g.s, np.zeros(g.n)), f)

@@ -16,7 +16,7 @@ from math import gamma, isfinite, pi
 import numpy as np
 
 from . import fields as fl
-from .algebra import _in_parts, get_algebra, spinor_matrices, vector_embed
+from .algebra import get_algebra, spinor_matrices, vector_embed
 
 
 def _unit_direction(points):
@@ -133,7 +133,7 @@ def pair_hardy_project(sign, f: fl.CliffordField, pair: int) -> fl.CliffordField
     buf = np.empty_like(G[0])
     for g in G:
         fl._centred_transform(g, (spec.L / spec.N) ** spec.n, False, buf, g)
-    _in_parts(_spinor_symbol_blocks, spec.N, G[0].size, G, spec.freq_axis(), s * 0.5j * C)
+    _spinor_symbol_blocks(G, spec.freq_axis(), s * 0.5j * C)
     for g in G:
         fl._centred_transform(g, (spec.N / spec.L) ** spec.n, True, buf, g)
     del buf
@@ -146,7 +146,7 @@ def pair_spatial_project(sign, f: fl.CliffordField, pair: int) -> fl.CliffordFie
     (algebra.spinor_matrices): e_j B = B C_j, so chi_sign(u) acts on c as
     1/2 I + sign 1/2 i sum_j u_j C_j, u = x/|x| (0 at the origin)."""
     B, C, G = _spinor_coordinates(f, pair)
-    _in_parts(_spinor_symbol_blocks, f.spec.N, G[0].size, G, f.spec.axis(), _parse_sign(sign) * 0.5j * C)
+    _spinor_symbol_blocks(G, f.spec.axis(), _parse_sign(sign) * 0.5j * C)
     return _spinor_assemble(f, G, B)
 
 
@@ -158,9 +158,15 @@ def _spinor_coordinates(f: fl.CliffordField, pair: int) -> tuple:
 
 
 def _spinor_assemble(f: fl.CliffordField, G, B) -> fl.CliffordField:
-    """B c from the coordinates G, in its own mapping (fields._mapped_empty)."""
+    """B c from the coordinates G, in its own mapping (fields._mapped_empty):
+    blade by blade over the nonzero entries of B, in blocks of about
+    _SPINOR_BLOCK points."""
     out = fl._mapped_empty(f.data.shape)
-    _in_parts(_spinor_assemble_blocks, len(out), G[0].size, G, B, out)
+    step = max(1, _SPINOR_BLOCK // G[0][0].size)  # rows per block
+    for r in range(0, len(out), step):
+        coords = [g[r:r + step, ..., 0] for g in G]
+        for a, row in enumerate(B):
+            _combine(zip(row, coords), out=out[r:r + step, ..., a])
     return f._like(out)
 
 
@@ -178,12 +184,12 @@ def _combine(pairs, out=None):
     return out
 
 
-def _spinor_symbol_blocks(lo, hi, G, axis, K):
-    """Rows lo .. hi - 1 of the coordinates G, in place, times
-    S = 1/2 I + sum_j u_j K_j point by point, u the unit direction of the
-    points on axis (samples or bins), in blocks of about _SPINOR_BLOCK
-    points.  Each entry of S is formed where it is used, so that a block
-    holds few temporaries."""
+def _spinor_symbol_blocks(G, axis, K):
+    """The coordinates G, in place, times S = 1/2 I + sum_j u_j K_j point by
+    point, u the unit direction of the points on axis (samples or bins), in
+    blocks of about _SPINOR_BLOCK points.  Each entry of S is formed where it
+    is used, so that a block holds few temporaries.  It runs in the calling
+    thread: on blocks this small a second thread mostly waits for the GIL."""
     n = K.shape[0]
 
     def entry(a, b):
@@ -197,8 +203,8 @@ def _spinor_symbol_blocks(lo, hi, G, axis, K):
         return m
 
     step = max(1, _SPINOR_BLOCK // G[0][0].size)  # rows per block
-    for r in range(lo, hi, step):
-        rows = slice(r, min(r + step, hi))
+    for r in range(0, len(G[0]), step):
+        rows = slice(r, r + step)
         U = _unit_direction(np.meshgrid(axis[rows], *(axis,) * (n - 1), indexing="ij", sparse=True))
         x, y = G[0][rows, ..., 0], G[1][rows, ..., 0]
         first = entry(0, 0) * x
@@ -207,17 +213,6 @@ def _spinor_symbol_blocks(lo, hi, G, axis, K):
         y *= entry(1, 1)
         y += cross
         x[...] = first
-
-
-def _spinor_assemble_blocks(lo, hi, G, B, out):
-    """Rows lo .. hi - 1 of out = B c from the coordinates G, blade by blade
-    over the nonzero entries of B."""
-    step = max(1, _SPINOR_BLOCK // G[0][0].size)
-    for r in range(lo, hi, step):
-        rows = slice(r, min(r + step, hi))
-        coords = [g[rows, ..., 0] for g in G]
-        for a, row in enumerate(B):
-            _combine(zip(row, coords), out=out[rows, ..., a])
 
 
 def poisson_extend(f: fl.CliffordField, x0: float) -> fl.CliffordField:

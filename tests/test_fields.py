@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,24 @@ def test_a_failing_part_raises_in_the_caller_after_every_part_ended(monkeypatch)
     assert sorted(seen) == [(0, 1), (2, 3)]
     alg._in_parts(part, 6, 6, seen)  # the pool goes on
     assert sorted(seen) == [(0, 1), (0, 2), (2, 3), (2, 4), (4, 6)]
+
+
+def test_a_finished_part_leaves_no_array_held_in_a_worker(monkeypatch):
+    # a worker lets go of its part just after it signals the part done, so the
+    # last reference may outlive the pass by a moment: poll rather than assert at once
+    monkeypatch.setattr(alg, "_PART", 1)
+    monkeypatch.setattr(alg, "_pool", _pool(3))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((16, 16, 4)) + 1j
+    buf = np.empty_like(x)
+    want = _centred_reference(x, 1.0, False)
+    assert np.array_equal(fl._centred_transform(x, 1.0, False, buf), want)
+    refs = [weakref.ref(x), weakref.ref(buf)]
+    del x, buf
+    deadline = time.monotonic() + 1.0
+    while any(r() is not None for r in refs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(r() is None for r in refs)
 
 
 def test_plane_wave_lands_in_one_bin():

@@ -35,6 +35,15 @@ def test_import_loads_no_mmap_module():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_concurrent_futures():
+    """algebra._Pool imports concurrent.futures, and the logging module with
+    it, when the first pass that splits makes the pool: not on the package import."""
+    code = "import sys, cliffharm; print(any(m.startswith('concurrent') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_star_import_binds_every_export():
     scope = {}
     exec("from cliffharm import *", scope)

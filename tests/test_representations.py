@@ -442,6 +442,17 @@ def test_induced_rep_refuses_a_non_finite_field(subspace, bad):
         rp.induced_rep("+", g, member, subspace)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("subspace", [rp.SubspaceId.TildeH1Plus, rp.SubspaceId.QHardy1Plus, rp.SubspaceId.HardyPlus])
+def test_membership_residual_refuses_a_non_finite_field(subspace, bad):
+    """A NaN residual passes a `residual > tol` test, and an inf sample makes
+    numpy warn: either is refused by type before the projection runs."""
+    member = rp.random_subspace_member(rp.SubspaceId.TildeH1Plus, fl.GridSpec(3, 8, 10.0), 13)
+    member.data[1, 2, 3, 0] = bad
+    with pytest.raises(rp.SubspaceMembershipError, match=r"non-finite sample \(residual nan\)"):
+        rp.subspace_membership_residual(subspace, member)
+
+
 @pytest.mark.parametrize("subspace", [None, rp.SubspaceId.TildeTildeH1Plus])
 def test_induced_rep_refuses_a_zero_field(subspace):
     g = sp.GroupElement(1.0, _quarter_turn(2), np.zeros(2))

@@ -13,9 +13,14 @@ from cliffharm import fields as fl
 from cliffharm import suites
 
 
+# the package's src directory, put on each child's path: the package need not be installed
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("CLIFFORD_HILBERT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -443,6 +448,14 @@ def test_cli_transform_bad_inputs(sample_field, tmp_path):
         res = run_cli("transform", "hilbert", bad, out)
         assert res.returncode == 2, (name, res.stderr)
         assert "Traceback" not in res.stderr, name
+
+
+def test_cli_transform_refuses_its_output_path_before_reading(tmp_path):
+    # the input does not exist either: the output path is checked first, before any work
+    out = tmp_path / "missing_dir" / "out.clf"
+    res = run_cli("transform", "hilbert", tmp_path / "missing.clf", out)
+    assert res.returncode == 2
+    assert str(out) in res.stderr and "missing.clf" not in res.stderr, res.stderr
 
 
 def test_cli_transform_refuses_boolean_field_values(tmp_path):
