@@ -12,6 +12,7 @@ import itertools
 import json
 import struct
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -207,11 +208,18 @@ def norm(f) -> float:
 
 def rel_error(a, b) -> float:
     """|a - b| / |b| over whole fields.  An all-zero reference b has no
-    relative error: that raises ValueError instead of reading as 0."""
+    relative error: that raises ValueError instead of reading as 0.  So does
+    a non-finite sample in either field, seen in the norms taken anyway, as
+    its NaN residual would pass a `residual > tol` test."""
     r = float(np.linalg.norm(b.data))
     if r == 0:
         raise ValueError("relative error against an all-zero reference field")
-    return float(np.linalg.norm(a.data - b.data)) / r
+    if not isfinite(r):
+        raise ValueError("relative error against a reference field with a non-finite sample")
+    d = float(np.linalg.norm(a.data - b.data))
+    if not isfinite(d):
+        raise ValueError("relative error of a field with a non-finite sample")
+    return d / r
 
 
 def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:
@@ -308,11 +316,17 @@ def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordFie
       goes through the N x N matrix T_a = P_a D, D[k, j] = e^{-2 pi i xi_k
       x_j} / N the centred DFT, P_a[i, k] = e^{2 pi i r A^-1[a, b] x_i xi_k}
       e^{2 pi i b_a xi_k} (the shift a phase per frequency, as in the phase
-      sum, not part of the coordinate).  Each T_a is one BLAS product over
-      an (N^a, N, rest) view into two field-sized work arrays in turn; one
-      more pass moves each source axis to its output axis and applies left
-      as the dim x dim matrix whose row j is left e_j.  n N^(n+1) dim
-      multiply-adds: no FFT, no mode search.
+      sum, not part of the coordinate).  That is n + 1 plain 2-D BLAS
+      products through transposed views, into two field-sized work arrays
+      in turn.  With source axis a leading the buffer, read as (N, rest),
+      src^T @ T_a^T transforms that axis and moves it to the end, so that
+      after n products the layout is (dim, s_0, ..., s_(n-1)).  One
+      (N^n, dim) @ (dim, dim) product applies left, as the matrix whose
+      row j is left e_j, and puts the blade axis back at the end.  One
+      permuting copy then moves each source axis to its output axis; it is
+      skipped when the rotor keeps every axis in place, and without left
+      it is the whole last step.  n N^(n+1) dim + N^n dim^2 multiply-adds:
+      no FFT, no mode search.
     - Any other rotor takes the factored phase sum over the field's
       occupied modes xi_m, with coefficients c_m.  Each phase splits as
       e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
@@ -347,19 +361,26 @@ def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordFie
             raise ValueError("field holds a non-finite sample")
         xi = spec.freq_axis()
         D = np.exp(-2j * np.pi * np.outer(xi, spec.axis())) / N
-        work, src = (np.empty_like(f.data), np.empty_like(f.data)), f.data
+        work, src = (np.empty(f.data.shape, complex), np.empty(f.data.shape, complex)), f.data
         for a_ in range(n):
             T = (np.exp(2j * np.pi * np.outer(y[a_], xi)) * np.exp(2j * np.pi * (ginv.b[a_] * xi))) @ D
-            np.matmul(T, src.reshape(N**a_, N, -1), out=work[a_ % 2].reshape(N**a_, N, -1))
-            src = work[a_ % 2]
-        # source axis a lands on output axis cols[a]; a left factor goes in as
-        # the dim x dim matrix whose row j is left e_j
-        moved, dst = src.transpose(tuple(np.argsort(cols)) + (n,)), work[n % 2]
+            # source axis a leads src; the product moves it, transformed, to the end
+            src = np.matmul(src.reshape(N, -1).T, T.T, out=work[a_ % 2].reshape(-1, N))
+        # src now holds (dim, s_0, ..., s_(n-1)).  A left factor goes in as the
+        # dim x dim matrix whose row j is left e_j, which puts the blade axis
+        # back at the end; then source axis a moves to output axis cols[a]
+        perm = np.argsort(cols)
         if left is None:
-            dst[...] = moved
-        else:
-            np.matmul(moved, f.algebra.symbol_product(left, np.eye(dim, dtype=complex)), out=dst)
-        return f._like(dst)
+            out = work[n % 2]
+            out[...] = src.reshape((dim,) + spec.shape).transpose(tuple(1 + perm) + (0,))
+            return f._like(out)
+        lmat = f.algebra.symbol_product(left, np.eye(dim, dtype=complex))
+        src = np.matmul(src.reshape(dim, -1).T, lmat, out=work[n % 2].reshape(-1, dim)).reshape(f.data.shape)
+        if np.array_equal(perm, np.arange(n)):
+            return f._like(src)
+        out = work[(n + 1) % 2]
+        out[...] = src.transpose(tuple(perm) + (n,))
+        return f._like(out)
 
     F = spectral_forward(f)
     occ, xi = occupied_modes(F)

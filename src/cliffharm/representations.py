@@ -115,7 +115,10 @@ def _chi_spatial_array(f: fl.CliffordField, sign: int, section=None) -> np.ndarr
     """Pointwise half-space factor chi_sign(x/|x|) as a coefficient array.
 
     With a section, the factor is assembled as s_w chi_ref s_w^-1 from one
-    section call on all directions; it must agree with the direct form."""
+    section call on all directions; it must agree with the direct form.
+    Without one, the direct form is only the dense reference that the
+    spinor-coordinate routes (transforms.pair_spatial_project) are checked
+    against: no library path multiplies by it."""
     spec = f.spec
     if section is None:
         return _symbol(spec.coords(), f.value_algebra, 0.5, sign * 0.5j)
@@ -245,9 +248,13 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
 
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
     """Distance to the pointwise condition f = chi_sign(x/|x|) f, relative
-    to || f ||; ValueError on an all-zero field."""
+    to || f ||; ValueError on an all-zero field.  The dim/2 ideal pairs
+    resolve the identity, so chi f is the sum of the pair projections."""
     _refuse_non_finite(f)
-    return fl.rel_error(f._like(f.algebra.product(_chi_spatial_array(f, sign), f.data)), f)
+    chi_f = pair_spatial_project(sign, f, 1)
+    for pair in range(2, f.algebra.dim // 2 + 1):
+        chi_f.data += pair_spatial_project(sign, f, pair).data
+    return fl.rel_error(chi_f, f)
 
 
 def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId | None = None) -> fl.CliffordField:
@@ -282,8 +289,11 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
 
 def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
     """|| H(P f) -+ P f || / || P f || for P the Hardy projection.  Raises
-    ValueError when P f is identically zero: there is nothing to check."""
+    ValueError when P f is identically zero: there is nothing to check; and
+    on a non-finite sample, before projecting."""
     s_ = _parse_sign(sign)
+    if not np.isfinite(f.data).all():
+        raise ValueError("Hilbert eigen check of a field with a non-finite sample")
     p = hardy_project(s_, f)
     return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 
@@ -294,12 +304,16 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str) -> flo
     Grid mode runs both operator orders on the grid (exact for
     grid-preserving g).  Mode mode compares the two orders mode by mode,
     which sidesteps off-grid resampling error and is exact for band-limited
-    data.  Raises ValueError on an all-zero field.
+    data.  Raises ValueError on an all-zero field, and on a non-finite
+    sample: grid mode sees it in ||f|| before any transform runs, mode mode
+    in occupied_modes.
     """
     den = np.linalg.norm(f.data)
     if den == 0:
         raise ValueError("commutation residual of an all-zero field")
     if mode == "grid":
+        if not np.isfinite(den):
+            raise ValueError("commutation residual of a field with a non-finite sample")
         a = hilbert(natural_rep(g, f))
         b = natural_rep(g, hilbert(f))
         return float(np.linalg.norm(a.data - b.data) / den)

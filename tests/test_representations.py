@@ -453,6 +453,64 @@ def test_membership_residual_refuses_a_non_finite_field(subspace, bad):
         rp.subspace_membership_residual(subspace, member)
 
 
+def _refuse_transforms(monkeypatch):
+    """Make every transform and resample the residuals reach fail loudly."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a transform ran before the refusal")
+
+    for module, name in ((rp, "hilbert"), (rp, "hardy_project"), (fl, "spectral_forward"), (fl, "resample_action")):
+        monkeypatch.setattr(module, name, boom)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("residual", [
+    lambda f, g: fl.rel_error(f._like(np.ones_like(f.data)), f),
+    lambda f, g: fl.rel_error(f, f._like(np.ones_like(f.data))),
+    lambda f, g: rp.hilbert_eigen_check("+", f),
+    lambda f, g: rp.commutation_residual(g, f, mode="grid"),
+], ids=["rel_error_reference", "rel_error_field", "hilbert_eigen_check", "commutation_grid"])
+def test_residuals_refuse_a_non_finite_field(monkeypatch, residual, bad):
+    """A NaN residual passes a `residual > tol` test, and an inf sample makes
+    numpy warn: each residual refuses either by type, before any transform.
+    (The modes route refuses through occupied_modes, after its transform.)"""
+    f = fl.make_band_limited_random(_spec(3), "H", 0.3, 17)
+    g = sp.GroupElement(1.3, _quarter_turn(3), np.array([0.2, -0.1, 0.4]))
+    residual(f, g)
+    f.data[1, 2, 3, 0] = bad
+    _refuse_transforms(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite sample"):
+        residual(f, g)
+
+
+def _dense_half_residual(sign, f):
+    """|| f - chi_sign(x/|x|) f || / || f || with the whole chi array, written
+    here from the symbol's definition, through Algebra.product."""
+    X = f.spec.coords()
+    mag = np.sqrt(sum(x * x for x in X))
+    chi = np.zeros(f.data.shape, dtype=complex)
+    chi[..., 0] = 0.5
+    for j, x in enumerate(X):
+        chi[..., j + 1] = sign * 0.5j * np.divide(x, mag, out=np.zeros_like(x), where=mag != 0)
+    chi_f = f.algebra.product(chi, f.data)
+    return np.linalg.norm(f.data - chi_f) / np.linalg.norm(f.data), chi_f
+
+
+@pytest.mark.parametrize("value_algebra, n, N", [("H", 3, 16), ("Cl3", 3, 16), ("Cl2", 2, 64)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_half_space_residual_matches_the_dense_route(value_algebra, n, N, sign):
+    f = fl.make_band_limited_random(fl.GridSpec(n, N, 10.0), value_algebra, 0.5, N + sign)
+    want, chi_f = _dense_half_residual(sign, f)
+    assert 0.3 < want < 1
+    assert abs(rp._spatial_half_residual(sign, f) - want) <= 1e-14
+    # a member of the half-space: chi f with f zero at the origin, where chi is 1/2
+    f.data[(N // 2,) * n] = 0.0
+    member = f._like(_dense_half_residual(sign, f)[1])
+    want = _dense_half_residual(sign, member)[0]
+    assert want < 1e-15
+    assert abs(rp._spatial_half_residual(sign, member) - want) <= 1e-14
+    assert rp._spatial_half_residual(-sign, member) > 0.99
+
+
 @pytest.mark.parametrize("subspace", [None, rp.SubspaceId.TildeTildeH1Plus])
 def test_induced_rep_refuses_a_zero_field(subspace):
     g = sp.GroupElement(1.0, _quarter_turn(2), np.zeros(2))
