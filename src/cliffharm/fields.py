@@ -215,10 +215,10 @@ def rel_error(a, b) -> float:
     if r == 0:
         raise ValueError("relative error against an all-zero reference field")
     if not isfinite(r):
-        raise ValueError("relative error against a reference field with a non-finite sample")
+        raise ValueError("relative error against a reference field with a non-finite sample or norm")
     d = float(np.linalg.norm(a.data - b.data))
     if not isfinite(d):
-        raise ValueError("relative error of a field with a non-finite sample")
+        raise ValueError("relative error of a field with a non-finite sample or norm")
     return d / r
 
 

@@ -292,8 +292,7 @@ def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
     ValueError when P f is identically zero: there is nothing to check; and
     on a non-finite sample, before projecting."""
     s_ = _parse_sign(sign)
-    if not np.isfinite(f.data).all():
-        raise ValueError("Hilbert eigen check of a field with a non-finite sample")
+    _refuse_non_finite(f)
     p = hardy_project(s_, f)
     return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 
