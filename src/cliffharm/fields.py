@@ -316,17 +316,11 @@ def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordFie
       goes through the N x N matrix T_a = P_a D, D[k, j] = e^{-2 pi i xi_k
       x_j} / N the centred DFT, P_a[i, k] = e^{2 pi i r A^-1[a, b] x_i xi_k}
       e^{2 pi i b_a xi_k} (the shift a phase per frequency, as in the phase
-      sum, not part of the coordinate).  That is n + 1 plain 2-D BLAS
-      products through transposed views, into two field-sized work arrays
-      in turn.  With source axis a leading the buffer, read as (N, rest),
-      src^T @ T_a^T transforms that axis and moves it to the end, so that
-      after n products the layout is (dim, s_0, ..., s_(n-1)).  One
-      (N^n, dim) @ (dim, dim) product applies left, as the matrix whose
-      row j is left e_j, and puts the blade axis back at the end.  One
-      permuting copy then moves each source axis to its output axis; it is
-      skipped when the rotor keeps every axis in place, and without left
-      it is the whole last step.  n N^(n+1) dim + N^n dim^2 multiply-adds:
-      no FFT, no mode search.
+      sum, not part of the coordinate).  With source axis a leading the
+      buffer, read as (N, rest), src^T @ T_a^T applies T_a and moves that
+      axis to the end; a (N^n, dim) @ (dim, dim) product applies left, and
+      one copy moves each source axis to its output axis.  Two field-sized
+      work arrays, no FFT, no mode search.
     - Any other rotor takes the factored phase sum over the field's
       occupied modes xi_m, with coefficients c_m.  Each phase splits as
       e^{2 pi i y.xi} = e^{2 pi i b.xi} prod_a e^{2 pi i x_a eta_a} with
@@ -366,20 +360,16 @@ def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordFie
             T = (np.exp(2j * np.pi * np.outer(y[a_], xi)) * np.exp(2j * np.pi * (ginv.b[a_] * xi))) @ D
             # source axis a leads src; the product moves it, transformed, to the end
             src = np.matmul(src.reshape(N, -1).T, T.T, out=work[a_ % 2].reshape(-1, N))
-        # src now holds (dim, s_0, ..., s_(n-1)).  A left factor goes in as the
-        # dim x dim matrix whose row j is left e_j, which puts the blade axis
-        # back at the end; then source axis a moves to output axis cols[a]
-        perm = np.argsort(cols)
+        # src holds (dim, s_0, ..., s_(n-1)).  A left factor goes in as the dim x dim
+        # matrix whose row j is left e_j, which puts the blade axis back last
+        perm, out = np.argsort(cols), work[n % 2]
         if left is None:
-            out = work[n % 2]
-            out[...] = src.reshape((dim,) + spec.shape).transpose(tuple(1 + perm) + (0,))
-            return f._like(out)
-        lmat = f.algebra.symbol_product(left, np.eye(dim, dtype=complex))
-        src = np.matmul(src.reshape(dim, -1).T, lmat, out=work[n % 2].reshape(-1, dim)).reshape(f.data.shape)
-        if np.array_equal(perm, np.arange(n)):
-            return f._like(src)
-        out = work[(n + 1) % 2]
-        out[...] = src.transpose(tuple(perm) + (n,))
+            moved = src.reshape((dim,) + spec.shape).transpose(tuple(1 + perm) + (0,))
+        else:
+            lmat = f.algebra.symbol_product(left, np.eye(dim, dtype=complex))
+            src = np.matmul(src.reshape(dim, -1).T, lmat, out=out.reshape(-1, dim))
+            moved, out = src.reshape(f.data.shape).transpose(tuple(perm) + (n,)), work[(n + 1) % 2]
+        out[...] = moved
         return f._like(out)
 
     F = spectral_forward(f)

@@ -292,7 +292,8 @@ def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
     ValueError when P f is identically zero: there is nothing to check; and
     on a non-finite sample, before projecting."""
     s_ = _parse_sign(sign)
-    _refuse_non_finite(f)
+    if not np.isfinite(f.data).all():
+        raise ValueError("field holds a non-finite sample")
     p = hardy_project(s_, f)
     return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 

@@ -574,48 +574,11 @@ def test_resample_axis_permuting_moves_match_direct_mode_sum(f):
             want = _direct_mode_sum(g, f)
             got = fl.resample_action(g, f).data
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            left = r ** (-spec.n / 2) * spin_value_coefficients(s, f.value_algebra)
+            want = fl.left_multiply_constant(left, f._like(want)).data
+            got = fl.resample_action(g, f, left=left).data
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert not np.any(fl.resample_action(g, zero).data)
-
-
-def _per_axis_batched(g, f, left):
-    """The per-axis action in its batched form: T_a on source axis a as one
-    matmul over the (N^a, N, rest) view, in place in the blade-last layout,
-    then one strided matmul that moves each source axis to its output axis
-    and applies left as the dim x dim matrix whose row j is left e_j."""
-    spec, dim = f.spec, f.algebra.dim
-    n, N = spec.n, spec.N
-    ginv = sp.inverse(g)
-    A_inv = sp.rotation_matrix(ginv.s)
-    cols = np.argmax(np.abs(A_inv), axis=1)
-    xi, x = spec.freq_axis(), spec.axis()
-    D = np.exp(-2j * np.pi * np.outer(xi, x)) / N
-    out = f.data
-    for a in range(n):
-        y = ginv.r * A_inv[a, cols[a]] * x
-        T = (np.exp(2j * np.pi * np.outer(y, xi)) * np.exp(2j * np.pi * (ginv.b[a] * xi))) @ D
-        out = np.matmul(T, out.reshape(N**a, N, -1)).reshape(f.data.shape)
-    moved = out.transpose(tuple(np.argsort(cols)) + (n,))
-    if left is None:
-        return moved.copy()
-    lmat = np.array([alg.geometric_product(left, e, f.value_algebra) for e in np.eye(dim, dtype=complex)])
-    return np.matmul(moved, lmat)
-
-
-@pytest.mark.parametrize("algebra, n, N", [("Cl2", 2, 32), ("H", 3, 16), ("Cl3", 3, 16)])
-def test_per_axis_chain_matches_the_batched_products(algebra, n, N):
-    """The chain of plain 2-D products sums the same terms as the batched
-    form; whether in the same order too is up to the BLAS, so only 1e-14 of
-    the maximum is asserted."""
-    f = fl.make_band_limited_random(fl.GridSpec(n, N, 9.0), algebra, 0.4, 33)
-    rng = np.random.default_rng(34)
-    for s in _quarter_turn_rotors(n):
-        for r in (0.5, 1.0, 2.0):
-            g = sp.GroupElement(r, s, rng.standard_normal(n))
-            assert not fl.is_grid_preserving(g, f.spec)
-            for left in (None, r ** (-n / 2) * spin_value_coefficients(s, algebra)):
-                want = _per_axis_batched(g, f, left)
-                got = fl.resample_action(g, f, left=left).data
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _occupied_by_the_blade_axis_max(F):

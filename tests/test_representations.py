@@ -478,8 +478,9 @@ def test_residuals_refuse_a_non_finite_field(monkeypatch, residual, bad):
     residual(f, g)
     f.data[1, 2, 3, 0] = bad
     _refuse_transforms(monkeypatch)
-    with pytest.raises(ValueError, match="non-finite sample"):
+    with pytest.raises(ValueError, match="non-finite sample") as exc:
         residual(f, g)
+    assert type(exc.value) is ValueError
 
 
 def _dense_half_residual(sign, f):
