@@ -356,12 +356,11 @@ def resample_action(g: GroupElement, f: CliffordField, left=None) -> CliffordFie
         xi = spec.freq_axis()
         D = np.exp(-2j * np.pi * np.outer(xi, spec.axis())) / N
         work, src = (np.empty(f.data.shape, complex), np.empty(f.data.shape, complex)), f.data
+        # src^T @ T_a^T transforms the leading axis a and moves it last, so n products leave
+        # (dim, s_0, ..., s_(n-1)); left goes in as the dim x dim matrix whose row j is left e_j
         for a_ in range(n):
             T = (np.exp(2j * np.pi * np.outer(y[a_], xi)) * np.exp(2j * np.pi * (ginv.b[a_] * xi))) @ D
-            # source axis a leads src; the product moves it, transformed, to the end
             src = np.matmul(src.reshape(N, -1).T, T.T, out=work[a_ % 2].reshape(-1, N))
-        # src holds (dim, s_0, ..., s_(n-1)).  A left factor goes in as the dim x dim
-        # matrix whose row j is left e_j, which puts the blade axis back last
         perm, out = np.argsort(cols), work[n % 2]
         if left is None:
             moved = src.reshape((dim,) + spec.shape).transpose(tuple(1 + perm) + (0,))
