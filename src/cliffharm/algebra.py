@@ -15,7 +15,6 @@ table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,52 +50,6 @@ _CHUNK = 512
 # Points per block in Algebra.symbol_product: its one permuted copy of the
 # right operand holds _SYMBOL_BLOCK * dim entries, no more than product's gather.
 _SYMBOL_BLOCK = 2048
-# The passes that gain from a second thread, the stages of the centred transform
-# (fields._centred_transform) and the blade loop (symbol_product), are cut into
-# parts of at least _PART complex values (2 MiB), at most one per CPU the process
-# may run on; a smaller pass runs whole in the calling thread.  The first pass
-# that splits makes the pool.
-_PART = 2**17
-_pool = None
-
-
-class _Pool:
-    """size - 1 worker threads of a concurrent.futures.ThreadPoolExecutor,
-    which drops each part once it has run; a caller runs the first part of
-    its pass itself.  Imported on first use, as fields._mapped_empty imports
-    mmap: with the logging module it pulls in, it takes 4-8 ms."""
-
-    def __init__(self, size: int):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.pid, self.size = os.getpid(), size
-        self._executor = ThreadPoolExecutor(max(1, size - 1))
-
-    def run(self, fn, bounds: list, args: tuple) -> None:
-        parts = [self._executor.submit(fn, lo, hi, *args) for lo, hi in bounds[1:]]
-        try:
-            fn(*bounds[0], *args)
-        finally:
-            errors = [err for err in (p.exception() for p in parts) if err is not None]  # waits for each part
-        if errors:  # raised in the caller once every part has ended
-            raise errors[0]
-
-
-def _in_parts(fn, count: int, values: int, *args) -> None:
-    """fn(lo, hi, *args) over consecutive ranges that cover range(count), for
-    a pass over `values` complex values.  Each range writes its own part, so
-    the result is the same for any number of parts."""
-    global _pool
-    parts = min(count, values // _PART)
-    if parts > 1 and (_pool is None or _pool.pid != os.getpid()):  # a forked child has none of its threads
-        # affinity is honoured (os.cpu_count() ignores it) where the platform has it
-        _pool = _Pool(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if parts < 2 or _pool.size < 2:
-        fn(0, count, *args)
-        return
-    parts = min(parts, _pool.size)
-    cuts = [count * k // parts for k in range(parts + 1)]
-    _pool.run(fn, list(zip(cuts, cuts[1:])), args)
 
 
 @dataclass(frozen=True)
@@ -152,9 +105,7 @@ class Algebra:
         term is one rounded product and the result equals `product` bit for
         bit.  On general complex m numpy's complex multiply (which fuses
         multiply-adds) rounds differently from the einsum in `product`, by
-        about 1e-16 relative, so `product` stays the general kernel.  On a
-        large field, groups of blocks run on the thread pool (_in_parts),
-        each into its own rows, so that the bits do not depend on the split."""
+        about 1e-16 relative, so `product` stays the general kernel."""
         m = np.asarray(m)
         b = np.asarray(b)
         lead = np.broadcast_shapes(m.shape[:-1], b.shape[:-1])
@@ -162,14 +113,8 @@ class Algebra:
         flat = out.reshape(-1, self.dim)
         M = np.broadcast_to(m, out.shape).reshape(flat.shape)
         B = np.broadcast_to(b, out.shape).reshape(flat.shape)
-        _in_parts(self._symbol_blocks, -(-len(flat) // _SYMBOL_BLOCK), out.size, M, B, flat)
-        return out
-
-    def _symbol_blocks(self, lo: int, hi: int, M: np.ndarray, B: np.ndarray, flat: np.ndarray) -> None:
-        """Blocks lo .. hi - 1 of symbol_product, through their own scratch block."""
-        stop = min(hi * _SYMBOL_BLOCK, len(flat))
-        scratch = np.empty((min(_SYMBOL_BLOCK, stop - lo * _SYMBOL_BLOCK), self.dim), flat.dtype)
-        for start in range(lo * _SYMBOL_BLOCK, stop, _SYMBOL_BLOCK):
+        scratch = np.empty((min(_SYMBOL_BLOCK, len(flat)), self.dim), out.dtype)
+        for start in range(0, len(flat), _SYMBOL_BLOCK):
             block = slice(start, start + _SYMBOL_BLOCK)
             acc, Bb, Mb = flat[block], B[block], M[block]
             term = scratch[: len(acc)]
@@ -182,6 +127,7 @@ class Algebra:
                 term *= self.signs[i]
                 term *= mi[:, None]
                 acc += term
+        return out
 
 
 def _build(name: str, gens: int) -> Algebra:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass
 from math import isfinite
@@ -116,6 +117,53 @@ def zero_field(spec, value_algebra) -> CliffordField:
     return CliffordField(spec, value_algebra, np.zeros(spec.shape + (a.dim,), dtype=complex))
 
 
+# Each of the three passes of _centred_transform, the only code that gains from
+# a second thread, is cut into parts of at least _PART complex values (2 MiB), at
+# most one per CPU the process may run on; a smaller pass runs whole in the
+# calling thread.  The first pass that splits makes the pool.
+_PART = 2**17
+_pool = None
+
+
+class _Pool:
+    """size - 1 worker threads of a concurrent.futures.ThreadPoolExecutor,
+    which drops each part once it has run; a caller runs the first part of
+    its pass itself.  Imported on first use, as _mapped_empty imports mmap:
+    with the logging module it pulls in, it takes 4-8 ms."""
+
+    def __init__(self, size: int):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pid, self.size = os.getpid(), size
+        self._executor = ThreadPoolExecutor(max(1, size - 1))
+
+    def run(self, fn, bounds: list, args: tuple) -> None:
+        parts = [self._executor.submit(fn, lo, hi, *args) for lo, hi in bounds[1:]]
+        try:
+            fn(*bounds[0], *args)
+        finally:
+            errors = [err for err in (p.exception() for p in parts) if err is not None]  # waits for each part
+        if errors:  # raised in the caller once every part has ended
+            raise errors[0]
+
+
+def _in_parts(fn, count: int, values: int, *args) -> None:
+    """fn(lo, hi, *args) over consecutive ranges that cover range(count), for
+    a pass over `values` complex values.  Each range writes its own part, so
+    the result is the same for any number of parts."""
+    global _pool
+    parts = min(count, values // _PART)
+    if parts > 1 and (_pool is None or _pool.pid != os.getpid()):  # a forked child has none of its threads
+        # affinity is honoured (os.cpu_count() ignores it) where the platform has it
+        _pool = _Pool(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if parts < 2 or _pool.size < 2:
+        fn(0, count, *args)
+        return
+    parts = min(parts, _pool.size)
+    cuts = [count * k // parts for k in range(parts + 1)]
+    _pool.run(fn, list(zip(cuts, cuts[1:])), args)
+
+
 def _swap_halves(dst: np.ndarray, src: np.ndarray, lo: int, hi: int) -> None:
     """dst[lo:hi] = rows lo .. hi - 1 of src rolled by N/2 on every grid axis
     (fftshift and ifftshift agree for even N): per half of axis 0 that the
@@ -147,17 +195,17 @@ def _centred_transform(x: np.ndarray, scale: float, inverse: bool, buf=None, out
     """fftshift(fftn(ifftshift(x))) * scale over the grid axes (ifftn if
     inverse) bit for bit, through two field-sized arrays.  numpy's fftn takes
     axis 0 last, one line at a time, so it runs as three passes over slabs
-    of axis 0, split over threads on large fields (algebra._in_parts): rows
-    shifted into buf and transformed over the other grid axes, columns of
-    buf along axis 0, rows of buf shifted into out and scaled.  A caller may
-    pass the scratch buf and the result out, both of x's shape; out may be
-    x itself, which is read only in the first pass."""
+    of axis 0: rows shifted into buf and transformed over the other grid
+    axes, columns of buf along axis 0, rows of buf shifted into out and
+    scaled.  On a large field each pass is split over threads (_in_parts).
+    A caller may pass the scratch buf and the result out, both of x's shape;
+    out may be x itself, which is read only in the first pass."""
     fftn, fft = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
     buf = np.empty_like(x) if buf is None else buf
     out = np.empty_like(x) if out is None else out
-    alg._in_parts(_rows_in, len(x), x.size, x, buf, fftn)
-    alg._in_parts(_columns, len(x), x.size, buf, fft)
-    alg._in_parts(_rows_out, len(x), x.size, buf, out, scale)
+    _in_parts(_rows_in, len(x), x.size, x, buf, fftn)
+    _in_parts(_columns, len(x), x.size, buf, fft)
+    _in_parts(_rows_out, len(x), x.size, buf, out, scale)
     return out
 
 

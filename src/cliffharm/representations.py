@@ -305,15 +305,14 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str) -> flo
     grid-preserving g).  Mode mode compares the two orders mode by mode,
     which sidesteps off-grid resampling error and is exact for band-limited
     data.  Raises ValueError on an all-zero field, and on a non-finite
-    sample: grid mode sees it in ||f|| before any transform runs, mode mode
-    in occupied_modes.
+    sample, which both modes see in ||f|| before any transform runs.
     """
     den = np.linalg.norm(f.data)
     if den == 0:
         raise ValueError("commutation residual of an all-zero field")
+    if not np.isfinite(den):
+        raise ValueError("commutation residual of a field with a non-finite sample")
     if mode == "grid":
-        if not np.isfinite(den):
-            raise ValueError("commutation residual of a field with a non-finite sample")
         a = hilbert(natural_rep(g, f))
         b = natural_rep(g, hilbert(f))
         return float(np.linalg.norm(a.data - b.data) / den)
@@ -352,13 +351,16 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str) ->
     rotation action (no value factor).  Grid mode resamples on the grid, which
     is exact for a quarter-turn s.  Mode mode evaluates the scalar symbol
     identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes.  Raises
-    ValueError on an all-zero field."""
+    ValueError on an all-zero field, and on a non-finite sample before any
+    transform or resample: max(0.0, nan) would keep the 0.0."""
     spec = f.spec
     if s.n != spec.n:
         raise ValueError("rotor dimension does not match the field")
     den = np.linalg.norm(f.data)
     if den == 0:
         raise ValueError("covariance residual of an all-zero field")
+    if not np.isfinite(den):
+        raise ValueError("covariance residual of a field with a non-finite sample")
     A = rotation_matrix(s)
     rot = GroupElement(1.0, s.inverse(), np.zeros(spec.n))
     if mode == "grid":

@@ -1,6 +1,8 @@
 import functools
+import importlib
 import json
 import os
+import pkgutil
 import struct
 import sys
 import threading
@@ -12,11 +14,13 @@ import weakref
 import numpy as np
 import pytest
 
+import cliffharm
 from cliffharm import algebra as alg
 from cliffharm import fields as fl
 from cliffharm import spin as sp
 from cliffharm import transforms as tr
 from cliffharm.representations import spin_value_coefficients
+from test_transforms import _names
 
 
 def test_grid_spec_validation():
@@ -131,7 +135,7 @@ def test_multiplier_memory_stays_near_its_output():
 @functools.cache
 def _pool(threads):
     # one pool per size for the whole module: its threads live as long as the process
-    return alg._Pool(threads)
+    return fl._Pool(threads)
 
 
 def _centred_reference(x, scale, inverse):
@@ -146,8 +150,8 @@ def _centred_reference(x, scale, inverse):
 @pytest.mark.parametrize("n,N,algebra", [(2, 64, "Cl2"), (3, 16, "H"), (3, 32, "Cl3")])
 def test_split_transforms_equal_the_whole_field_transform(monkeypatch, threads, n, N, algebra):
     # every pass split, whatever its size; 3 threads cut uneven slabs, one of them across N/2
-    monkeypatch.setattr(alg, "_PART", 1)
-    monkeypatch.setattr(alg, "_pool", _pool(threads))
+    monkeypatch.setattr(fl, "_PART", 1)
+    monkeypatch.setattr(fl, "_pool", _pool(threads))
     spec = fl.GridSpec(n, N, 10.0)
     rng = np.random.default_rng(N + threads)
     shape = spec.shape + (alg.get_algebra(algebra).dim,)
@@ -167,19 +171,44 @@ def test_split_transforms_equal_the_whole_field_transform(monkeypatch, threads, 
 
 
 def test_only_fields_of_two_parts_make_the_pool(monkeypatch):
-    monkeypatch.setattr(alg, "_pool", None)
+    monkeypatch.setattr(fl, "_pool", None)
     # H 32^3, the largest group-actions input, holds 2^17 complex values: one part
     tr.hilbert(fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "H", 0.2, 2))
-    assert alg._pool is None
+    assert fl._pool is None
     # Cl3 32^3 holds 2^18, the smallest field that splits
     tr.hilbert(fl.make_band_limited_random(fl.GridSpec(3, 32, 10.0), "Cl3", 0.4, 2))
-    assert (alg._pool.pid, alg._pool.size) == (os.getpid(), len(os.sched_getaffinity(0)))
+    assert (fl._pool.pid, fl._pool.size) == (os.getpid(), len(os.sched_getaffinity(0)))
+
+
+def _code_naming(name):
+    """module.qualname of every function and method of the package whose code names `name`."""
+    found = set()
+    for info in pkgutil.iter_modules(cliffharm.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"cliffharm.{info.name}")
+        for obj in vars(module).values():
+            for fn in vars(obj).values() if isinstance(obj, type) else [obj]:
+                code = getattr(fn, "__code__", None)
+                if code and fn.__module__ == module.__name__ and name in _names(code):
+                    found.add(f"{info.name}.{fn.__qualname__}")
+    return found
+
+
+def test_only_the_centred_transform_runs_on_threads(monkeypatch):
+    # the blade loop over Cl3 32^3, 2^18 values, is above the split threshold yet makes no pool
+    monkeypatch.setattr(fl, "_pool", None)
+    rng = np.random.default_rng(3)
+    m, b = (rng.standard_normal((32, 32, 32, 8)) + 1j for _ in range(2))
+    alg.get_algebra("Cl3").symbol_product(m, b)
+    assert fl._pool is None
+    assert _code_naming("_in_parts") == {"fields._centred_transform"}
 
 
 def test_callers_in_many_threads_share_the_pool(monkeypatch):
     # more callers than CPUs, switching often: each split pass must wait for its own parts only
-    monkeypatch.setattr(alg, "_PART", 1)
-    monkeypatch.setattr(alg, "_pool", _pool(3))
+    monkeypatch.setattr(fl, "_PART", 1)
+    monkeypatch.setattr(fl, "_pool", _pool(3))
     spec = fl.GridSpec(2, 32, 10.0)
     rng = np.random.default_rng(11)
     fields = [fl.CliffordField(spec, "Cl2", rng.standard_normal(spec.shape + (4,)) + 1j) for _ in range(6)]
@@ -206,8 +235,8 @@ def test_callers_in_many_threads_share_the_pool(monkeypatch):
 
 
 def test_a_failing_part_raises_in_the_caller_after_every_part_ended(monkeypatch):
-    monkeypatch.setattr(alg, "_PART", 1)
-    monkeypatch.setattr(alg, "_pool", _pool(3))
+    monkeypatch.setattr(fl, "_PART", 1)
+    monkeypatch.setattr(fl, "_pool", _pool(3))
 
     def part(lo, hi, seen):
         if lo == 1:
@@ -218,17 +247,17 @@ def test_a_failing_part_raises_in_the_caller_after_every_part_ended(monkeypatch)
 
     seen = []
     with pytest.raises(ValueError, match="part 1"):
-        alg._in_parts(part, 3, 3, seen)
+        fl._in_parts(part, 3, 3, seen)
     assert sorted(seen) == [(0, 1), (2, 3)]
-    alg._in_parts(part, 6, 6, seen)  # the pool goes on
+    fl._in_parts(part, 6, 6, seen)  # the pool goes on
     assert sorted(seen) == [(0, 1), (0, 2), (2, 3), (2, 4), (4, 6)]
 
 
 def test_a_finished_part_leaves_no_array_held_in_a_worker(monkeypatch):
     # a worker lets go of its part just after it signals the part done, so the
     # last reference may outlive the pass by a moment: poll rather than assert at once
-    monkeypatch.setattr(alg, "_PART", 1)
-    monkeypatch.setattr(alg, "_pool", _pool(3))
+    monkeypatch.setattr(fl, "_PART", 1)
+    monkeypatch.setattr(fl, "_pool", _pool(3))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((16, 16, 4)) + 1j
     buf = np.empty_like(x)

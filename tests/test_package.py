@@ -36,7 +36,7 @@ def test_import_loads_no_mmap_module():
 
 
 def test_import_loads_no_concurrent_futures():
-    """algebra._Pool imports concurrent.futures, and the logging module with
+    """fields._Pool imports concurrent.futures, and the logging module with
     it, when the first pass that splits makes the pool: not on the package import."""
     code = "import sys, cliffharm; print(any(m.startswith('concurrent') for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -468,11 +468,15 @@ def _refuse_transforms(monkeypatch):
     lambda f, g: fl.rel_error(f, f._like(np.ones_like(f.data))),
     lambda f, g: rp.hilbert_eigen_check("+", f),
     lambda f, g: rp.commutation_residual(g, f, mode="grid"),
-], ids=["rel_error_reference", "rel_error_field", "hilbert_eigen_check", "commutation_grid"])
+    lambda f, g: rp.commutation_residual(g, f, mode="modes"),
+    lambda f, g: rp.riesz_covariance_residual(g.s, f, mode="grid"),
+    lambda f, g: rp.riesz_covariance_residual(g.s, f, mode="modes"),
+], ids=["rel_error_reference", "rel_error_field", "hilbert_eigen_check", "commutation_grid", "commutation_modes",
+        "riesz_covariance_grid", "riesz_covariance_modes"])
 def test_residuals_refuse_a_non_finite_field(monkeypatch, residual, bad):
-    """A NaN residual passes a `residual > tol` test, and an inf sample makes
-    numpy warn: each residual refuses either by type, before any transform.
-    (The modes route refuses through occupied_modes, after its transform.)"""
+    """A NaN residual passes a `residual > tol` test (and max(0.0, nan) keeps
+    the 0.0), and an inf sample makes numpy warn: each residual refuses either
+    by type, in both modes, before any transform or resample."""
     f = fl.make_band_limited_random(_spec(3), "H", 0.3, 17)
     g = sp.GroupElement(1.3, _quarter_turn(3), np.array([0.2, -0.1, 0.4]))
     residual(f, g)
@@ -668,10 +672,14 @@ def _resample(g, f):
     return fl.resample_action(g, f)
 
 
+def _spectral_rep(g, f):
+    return rp.natural_rep_spectral(g, fl.spectral_forward(f))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("call", [
     pytest.param(_resample, id="resample_action"),
-    pytest.param(lambda g, f: rp.natural_rep_spectral(g, fl.spectral_forward(f)), id="natural_rep_spectral"),
+    pytest.param(_spectral_rep, id="natural_rep_spectral"),
     pytest.param(lambda g, f: rp.commutation_residual(g, f, mode="modes"), id="commutation_residual"),
     pytest.param(lambda g, f: rp.riesz_covariance_residual(g.s, f, mode="modes"), id="riesz_covariance_residual"),
 ])
@@ -684,8 +692,9 @@ def test_a_non_finite_sample_is_refused_not_read_as_an_empty_spectrum(call, bad)
     for angle, resample_transforms in ((0.4, True), (np.pi / 4, False)):
         g = sp.GroupElement(1.3, sp.spin2_from_angle(angle), np.array([0.21, -0.37]))
         assert not fl.is_grid_preserving(g, spec)
-        # numpy's FFT warns when an infinite sample meets inf - inf
-        transforms = resample_transforms or call is not _resample
+        # numpy's FFT warns when an infinite sample meets inf - inf; the two
+        # residuals refuse before their transform, so they never warn
+        transforms = call is _spectral_rep or (call is _resample and resample_transforms)
         warns = pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad) and transforms else contextlib.nullcontext()
         with pytest.raises(ValueError, match="non-finite"), warns:
             call(g, f)
