@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
-_MASKS = {
-    2: (0b00, 0b01, 0b10, 0b11),
-    3: (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111),
-}
-_NAMES = {
-    2: ("1", "e1", "e2", "e12"),
-    3: ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123"),
-}
+
+def _blades(gens: int) -> list:
+    """Generator index tuples of the blades in the documented order: by grade,
+    then by index tuple, so () for 1, (1,) for e1, ..., (1, 2) for e12."""
+    return [c for k in range(gens + 1) for c in combinations(range(1, gens + 1), k)]
 
 
 def _blade_sign(a: int, b: int) -> int:
@@ -131,17 +129,19 @@ class Algebra:
 
 
 def _build(name: str, gens: int) -> Algebra:
-    masks = _MASKS[gens]
+    blades = _blades(gens)
+    masks = [sum(1 << (g - 1) for g in b) for b in blades]
     dim = len(masks)
     index = {m: k for k, m in enumerate(masks)}
     T = np.zeros((dim, dim, dim))
     for i, mi in enumerate(masks):
         for j, mj in enumerate(masks):
             T[i, j, index[mi ^ mj]] = _blade_sign(mi, mj)
-    grades = np.array([bin(m).count("1") for m in masks])
+    grades = np.array([len(b) for b in blades])
     cols = np.argmax(T != 0, axis=1)
     signs = np.take_along_axis(T, cols[:, None, :], axis=1)[:, 0, :]
-    return Algebra(name, gens, _NAMES[gens], T, grades, cols, signs)
+    names = tuple("e" + "".join(map(str, b)) if b else "1" for b in blades)
+    return Algebra(name, gens, names, T, grades, cols, signs)
 
 
 ALGEBRAS = {

@@ -254,20 +254,43 @@ def norm(f) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
+# the norms at which a residual reads a field as it is.  Spectral coefficients
+# carry (L/N)^n: at L = L_MIN, 2^+-300 let the modes residuals' |c|^2 underflow
+_IN_RANGE = 2.0**-100, 2.0**100
+
+
+def _in_range(f, *more) -> tuple:
+    """(||f||, f, *more) as every residual reads them.  ValueError on an
+    all-zero f or a non-finite sample in f, told apart on the samples, as a
+    finite f can overflow its norm.  Outside _IN_RANGE every field comes back
+    times the one power of two that puts f's peak in [1, 2): that is exact,
+    so a residual, linear in its fields, reads the same bits at any scale."""
+    with np.errstate(over="ignore"):  # a field far above f comes back holding inf
+        r = float(np.linalg.norm(f.data))
+        if _IN_RANGE[0] <= r <= _IN_RANGE[1]:
+            return (r, f, *more)
+        parts = np.abs(np.ascontiguousarray(f.data).view(float))
+        if not np.isfinite(parts).all():
+            raise ValueError("field holds a non-finite sample")
+        if not parts.any():
+            raise ValueError("field is all zero: it has no residual")
+        k = 1 - int(np.frexp(parts.max())[1])
+        return _in_range(*(g._like(np.ldexp(np.ascontiguousarray(g.data).view(float), k).view(complex))
+                           for g in (f, *more)))
+
+
 def rel_error(a, b) -> float:
-    """|a - b| / |b| over whole fields.  An all-zero reference b has no
-    relative error: that raises ValueError instead of reading as 0.  So does
-    a non-finite sample in either field, seen in the norms taken anyway, as
-    its NaN residual would pass a `residual > tol` test."""
-    r = float(np.linalg.norm(b.data))
-    if r == 0:
-        raise ValueError("relative error against an all-zero reference field")
-    if not isfinite(r):
-        raise ValueError("relative error against a reference field with a non-finite sample or norm")
-    d = float(np.linalg.norm(a.data - b.data))
-    if not isfinite(d):
-        raise ValueError("relative error of a field with a non-finite sample or norm")
-    return d / r
+    """|a - b| / |b| over whole fields read through _in_range(b, a); a non-finite
+    sample in a is refused too, as its NaN residual would pass `residual > tol`."""
+    r, b_in, a_in = _in_range(b, a)
+    with np.errstate(over="ignore"):
+        d = float(np.linalg.norm(a_in.data - b_in.data))
+        if isfinite(d):
+            return d / r
+        if not np.isfinite(a.data).all():
+            raise ValueError("relative error of a field with a non-finite sample")
+        # a finite a over 2^900 times b: a - b rounds to a, and 2^-512 a reads 2^-512 times the error
+        return float(np.ldexp(rel_error(a._like(a.data * 2.0**-512), b), 512))
 
 
 def apply_multiplier_array(M: np.ndarray, F: SpectralField) -> SpectralField:

@@ -35,6 +35,7 @@ from .spin import (
 from .transforms import (
     _parse_sign,
     _symbol,
+    _unit_direction,
     hardy_project,
     hilbert,
     hilbert_multiplier_at,
@@ -173,16 +174,18 @@ def subspace_project(id: SubspaceId, f: fl.CliffordField, section=None) -> fl.Cl
 
 
 def subspace_membership_residual(id: SubspaceId, f: fl.CliffordField) -> float:
-    """|| f - P f || / || f || for P the subspace projection.  Raises
-    ValueError on an all-zero field: there is nothing to check."""
-    _refuse_non_finite(f)
+    """|| f - P f || / || f || for P the subspace projection."""
+    f = _member_in_range(f)
     return fl.rel_error(subspace_project(id, f), f)
 
 
-def _refuse_non_finite(f: fl.CliffordField) -> None:
-    """Its residual would be NaN, which passes a `residual > tol` test."""
-    if not np.isfinite(f.data).all():
-        raise SubspaceMembershipError("field holds a non-finite sample", float("nan"))
+def _member_in_range(f: fl.CliffordField) -> fl.CliffordField:
+    """f through fields._in_range.  A field it refuses, all zero or with a
+    non-finite sample, fails membership with residual nan."""
+    try:
+        return fl._in_range(f)[1]
+    except ValueError as err:
+        raise SubspaceMembershipError(str(err), float("nan")) from err
 
 
 _DEFAULT_ALGEBRA = {2: "Cl2", 3: "H"}
@@ -248,9 +251,9 @@ def natural_rep_spectral(g: GroupElement, F: fl.SpectralField) -> fl.SpectralFie
 
 def _spatial_half_residual(sign: int, f: fl.CliffordField) -> float:
     """Distance to the pointwise condition f = chi_sign(x/|x|) f, relative
-    to || f ||; ValueError on an all-zero field.  The dim/2 ideal pairs
+    to || f ||, of f read through _member_in_range.  The dim/2 ideal pairs
     resolve the identity, so chi f is the sum of the pair projections."""
-    _refuse_non_finite(f)
+    f = _member_in_range(f)
     chi_f = pair_spatial_project(sign, f, 1)
     for pair in range(2, f.algebra.dim // 2 + 1):
         chi_f.data += pair_spatial_project(sign, f, pair).data
@@ -288,13 +291,10 @@ def induced_rep(sign, g: GroupElement, f: fl.CliffordField, subspace: SubspaceId
 # residual checks
 
 def hilbert_eigen_check(sign, f: fl.CliffordField) -> float:
-    """|| H(P f) -+ P f || / || P f || for P the Hardy projection.  Raises
-    ValueError when P f is identically zero: there is nothing to check; and
-    on a non-finite sample, before projecting."""
+    """|| H(P f) -+ P f || / || P f || for P the Hardy projection, of f read
+    through fields._in_range; ValueError also when P f is all zero."""
     s_ = _parse_sign(sign)
-    if not np.isfinite(f.data).all():
-        raise ValueError("field holds a non-finite sample")
-    p = hardy_project(s_, f)
+    p = hardy_project(s_, fl._in_range(f)[1])
     return fl.rel_error(hilbert(p), p._like(s_ * p.data))
 
 
@@ -304,14 +304,10 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str) -> flo
     Grid mode runs both operator orders on the grid (exact for
     grid-preserving g).  Mode mode compares the two orders mode by mode,
     which sidesteps off-grid resampling error and is exact for band-limited
-    data.  Raises ValueError on an all-zero field, and on a non-finite
-    sample, which both modes see in ||f|| before any transform runs.
+    data.  f is read through fields._in_range, before either mode
+    transforms anything.
     """
-    den = np.linalg.norm(f.data)
-    if den == 0:
-        raise ValueError("commutation residual of an all-zero field")
-    if not np.isfinite(den):
-        raise ValueError("commutation residual of a field with a non-finite sample")
+    den, f = fl._in_range(f)
     if mode == "grid":
         a = hilbert(natural_rep(g, f))
         b = natural_rep(g, hilbert(f))
@@ -328,9 +324,7 @@ def commutation_residual(g: GroupElement, f: fl.CliffordField, mode: str) -> flo
     # every left factor is a rotor or an i xi/|xi| symbol: the blade loop rounds as product does
     lhs = a.symbol_product(_symbol(eta.T, f.value_algebra, 0, 1j), a.symbol_product(sval, c))
     rhs = a.symbol_product(sval, a.symbol_product(_symbol(xi.T, f.value_algebra, 0, 1j), c))
-    num2 = float(np.sum(np.abs(lhs - rhs) ** 2))
-    den2 = float(np.sum(np.abs(c) ** 2))
-    return float(np.sqrt(num2 / den2))
+    return float(np.sqrt(float(np.sum(np.abs(lhs - rhs) ** 2)) / float(np.sum(np.abs(c) ** 2))))
 
 
 def multiplier_equivariance_residual(s: SpinElement, xi, value_algebra: str | None = None) -> float:
@@ -350,17 +344,12 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str) ->
     """max_j || rot R_j rot^-1 f - sum_k A_jk R_k f || / ||f|| for the plain
     rotation action (no value factor).  Grid mode resamples on the grid, which
     is exact for a quarter-turn s.  Mode mode evaluates the scalar symbol
-    identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes.  Raises
-    ValueError on an all-zero field, and on a non-finite sample before any
-    transform or resample: max(0.0, nan) would keep the 0.0."""
+    identity m_j(A xi) = sum_k A_jk m_k(xi) over the field's modes.  f is
+    read through fields._in_range, before any transform or resample."""
     spec = f.spec
     if s.n != spec.n:
         raise ValueError("rotor dimension does not match the field")
-    den = np.linalg.norm(f.data)
-    if den == 0:
-        raise ValueError("covariance residual of an all-zero field")
-    if not np.isfinite(den):
-        raise ValueError("covariance residual of a field with a non-finite sample")
+    den, f = fl._in_range(f)
     A = rotation_matrix(s)
     rot = GroupElement(1.0, s.inverse(), np.zeros(spec.n))
     if mode == "grid":
@@ -369,9 +358,7 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str) ->
         worst = 0.0
         for j in range(spec.n):
             lhs = fl.resample_action(rot, riesz(j, unrotated))
-            acc = np.zeros_like(f.data)
-            for k in range(spec.n):
-                acc = acc + A[j, k] * R[k]
+            acc = sum(A[j, k] * R[k] for k in range(spec.n))
             worst = max(worst, float(np.linalg.norm(lhs.data - acc) / den))
         return worst
     if mode != "modes":
@@ -381,10 +368,9 @@ def riesz_covariance_residual(s: SpinElement, f: fl.CliffordField, mode: str) ->
     c = F.data[tuple(occ.T)]
     wc = np.sum(np.abs(c) ** 2, axis=-1)
     den2 = float(np.sum(wc))
-    # m_j = i u_j for the unit direction u, the vector part of the symbol xi/|xi|;
-    # u is copied contiguous so that u @ A[j] runs through BLAS like a plain (modes, n) array
-    u = np.ascontiguousarray(_symbol(xi.T, f.value_algebra, 0, 1)[:, 1 : spec.n + 1].real)
-    ru = _symbol((xi @ A.T).T, f.value_algebra, 0, 1)[:, 1 : spec.n + 1].real
+    # m_j = i u_j for the unit direction u = xi/|xi|
+    u = np.stack(_unit_direction(xi.T), -1)
+    ru = np.stack(_unit_direction((xi @ A.T).T), -1)
     worst = 0.0
     for j in range(spec.n):
         gap = ru[:, j] - u @ A[j]

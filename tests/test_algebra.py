@@ -18,6 +18,16 @@ def _from_oracle(x, gens):
     return np.array(oracle.mv_to_coeffs(x, gens), dtype=complex)
 
 
+def test_blades_come_in_the_documented_order():
+    """One generator, blades by grade and then by index tuple, gives the
+    order the module docstring documents for both tables."""
+    for name in ("Cl2", "H"):
+        assert alg.get_algebra(name).names == ("1", "e1", "e2", "e12")
+    assert alg.get_algebra("Cl3").names == ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
+    for a in alg.ALGEBRAS.values():
+        assert list(a.grades) == [len(n) - 1 if n != "1" else 0 for n in a.names]
+
+
 @pytest.mark.parametrize("name,gens", [("Cl2", 2), ("Cl3", 3), ("H", 2)])
 def test_product_table_matches_oracle_exactly(name, gens):
     a = alg.get_algebra(name)

@@ -10,7 +10,7 @@ from cliffharm import fields as fl
 from cliffharm import representations as rp
 from cliffharm import spin as sp
 from cliffharm import transforms as tr
-from test_fields import _quarter_turn_rotors
+from test_fields import _code_naming, _quarter_turn_rotors
 
 
 def _quarter_turn(n):
@@ -485,6 +485,71 @@ def test_residuals_refuse_a_non_finite_field(monkeypatch, residual, bad):
     with pytest.raises(ValueError, match="non-finite sample") as exc:
         residual(f, g)
     assert type(exc.value) is ValueError
+
+
+def _general_move(n):
+    """A dilation, a rotor that permutes no axes and an off-grid shift."""
+    s = sp.spin2_from_angle(0.4) if n == 2 else sp.spin3_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3, 0.7)
+    return sp.GroupElement(1.3, s, np.array([0.2, -0.1, 0.4])[:n])
+
+
+# every residual the package computes on a field, as f -> R(f)
+_RESIDUALS = {
+    "rel_error": lambda f: fl.rel_error(f._like(0.5 * f.data), f),
+    "hilbert_eigen_check": lambda f: rp.hilbert_eigen_check("+", f),
+    "commutation_grid": lambda f: rp.commutation_residual(_general_move(f.spec.n), f, mode="grid"),
+    "commutation_modes": lambda f: rp.commutation_residual(_general_move(f.spec.n), f, mode="modes"),
+    "riesz_covariance_grid": lambda f: rp.riesz_covariance_residual(_quarter_turn(f.spec.n), f, mode="grid"),
+    "riesz_covariance_modes": lambda f: rp.riesz_covariance_residual(_general_move(f.spec.n).s, f, mode="modes"),
+    "membership": lambda f: rp.subspace_membership_residual(rp.SubspaceId.HardyPlus, f),
+    "half_space": lambda f: rp._spatial_half_residual(1, f),
+}
+
+
+@pytest.mark.parametrize("L", [1e-30, 10.0, 1e30])
+@pytest.mark.parametrize("name", list(_RESIDUALS))
+def test_residuals_read_the_same_bits_at_any_scale(name, L):
+    """Each residual is linear in its field, so 2^k f must read exactly as f
+    does.  Read through plain float64 norms, a field far from unit size
+    squared past the float range: its residual read 0.0, the wrong value,
+    or a refusal as non-finite.  The grid's (L/N)^n moves the spectral
+    coefficients too, so the box length varies as well."""
+    residual = _RESIDUALS[name]
+    for algebra, n in (("H", 3), ("Cl2", 2)):
+        f = fl.make_band_limited_random(fl.GridSpec(n, 8, L), algebra, 0.5, 17)
+        want = residual(f)
+        assert 0 <= want < 1
+        for k in (-600, -520, 520, 600):
+            scaled = f._like(f.data * 2.0**k)
+            parts = np.abs(scaled.data.view(float))
+            assert np.isfinite(parts).all() and parts[parts > 0].min() >= np.finfo(float).tiny, (algebra, k)
+            assert residual(scaled) == want, (algebra, k)
+
+
+def test_rel_error_of_fields_far_from_unit_size():
+    f = fl.make_band_limited_random(fl.GridSpec(3, 8, 10.0), "H", 0.5, 17)
+    x = f._like(f.data * (1e-162 / np.abs(f.data).max()))
+    assert fl.rel_error(x._like(0.5 * x.data), x) == 0.5
+    assert fl.rel_error(x._like(-x.data), x) == 2.0
+    # a finite field whose distance to the reference overflows is read, not refused
+    far = f._like(f.data * 2.0**1020)
+    assert fl.rel_error(far, f) == pytest.approx(2.0**1020, rel=1e-15)
+    assert fl.rel_error(far, f._like(f.data * 2.0**90)) == pytest.approx(2.0**930, rel=1e-15)
+    assert fl.rel_error(far, x) == np.inf  # the quotient itself is past the float range
+    far.data[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite sample"):
+        fl.rel_error(far, x)
+
+
+def test_every_residual_reads_its_field_through_one_rule():
+    """fields._in_range is the one place that decides whether a field can be
+    measured: no function in representations tests finiteness itself."""
+    assert _code_naming("_in_range") >= {
+        "fields.rel_error", "representations.hilbert_eigen_check", "representations.commutation_residual",
+        "representations.riesz_covariance_residual", "representations._member_in_range"}
+    assert _code_naming("_member_in_range") == {
+        "representations.subspace_membership_residual", "representations._spatial_half_residual"}
+    assert not {name for name in _code_naming("isfinite") if name.startswith("representations.")}
 
 
 def _dense_half_residual(sign, f):
